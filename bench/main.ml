@@ -295,6 +295,26 @@ let bench_diag_dse_pruned =
       let result = Power_core.Dse.prune dse_candidates in
       List.iter certify_slice result.Power_core.Dse.kept)
 
+(* Certifier A/B: the production branch-and-bound against the reference
+   one (test/oracles: list-based affine forms, every enclosure
+   re-evaluated per sub-box) over the 240 explorer-shaped problems the
+   differential test checks bit for bit — Booth radix 2/4/8 and pipelined
+   Wallace, 1/2/4/8 copies, three flavors, five frequencies. Both arms
+   return identical certificates, so their cert.* counters match. *)
+let certify_explorer_problems = Oracles.Problems.explorer
+
+let bench_diag_certify_explorer_oracle =
+  slow "diag:certify-explorer-oracle" (fun () ->
+      List.iter
+        (fun p -> ignore (Oracles.Certify.certify (Power_core.Absint.box p)))
+        (Lazy.force certify_explorer_problems))
+
+let bench_diag_certify_explorer =
+  slow "diag:certify-explorer" (fun () ->
+      List.iter
+        (fun p -> ignore (Power_core.Absint.certify (Power_core.Absint.box p)))
+        (Lazy.force certify_explorer_problems))
+
 (* The generator-space Pareto explorer on a ~2k-candidate space: 18
    Booth substrates (radix x signedness x depth) x 5 parallelisation
    factors x 3 flavors x 8 frequency slices = 2160 candidates. The
@@ -457,6 +477,8 @@ let benchmarks =
     bench_dse_prune;
     bench_diag_dse_exhaustive;
     bench_diag_dse_pruned;
+    bench_diag_certify_explorer_oracle;
+    bench_diag_certify_explorer;
     bench_dse_pareto;
     bench_diag_dse_pareto_exhaustive;
     bench_diag_dse_pareto_pruned;

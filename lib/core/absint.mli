@@ -34,6 +34,11 @@ val ptot_over : box -> Numerics.Interval.t
 val dptot_over : box -> Numerics.Interval.t
 (** Certified enclosure of d(Ptot)/dVdd over the box. *)
 
+val affine_over : box -> Numerics.Interval.t option
+(** The affine mean-value enclosure of Ptot over the box alone, the one
+    {!ptot_over} intersects with the naive one; [None] where an
+    intermediate leaves the regime the tightening is valid in. *)
+
 type certificate = {
   ptot : Numerics.Interval.t;
       (** Enclosure of [min Ptot] over the box. The upper end is an

@@ -90,29 +90,28 @@ let chi_prime_iv t ~f =
   (* chi' is exactly proportional to f (Eq. 6). *)
   Iv.scale (t.chi_prime /. t.f) f
 
-let vth_of_vdd_iv t ~chi_prime vdd =
-  if vdd.Iv.lo <= 0.0 then
-    invalid_arg "Power_law.vth_of_vdd_iv: vdd box <= 0";
-  Iv.sub vdd
-    (Iv.pow_scalar (Iv.mul chi_prime vdd) (1.0 /. t.tech.alpha))
-
 let pdyn_iv t ~f ~vdd =
   let p = t.params in
   Iv.scale
     (p.Arch_params.activity *. p.n_cells *. p.avg_cap)
     (Iv.mul f (Iv.sqr vdd))
 
-let pstat_iv t ~vdd ~vth =
-  let p = t.params in
-  Iv.scale
-    (p.Arch_params.n_cells *. p.io_cell)
-    (Iv.mul vdd
-       (Iv.exp (Iv.scale (-1.0 /. Device.Technology.n_ut t.tech) vth)))
+type locus_iv = { supply : Iv.t; g : Iv.t; leak : Iv.t }
 
-let ptot_on_constraint_iv t ~f ~vdd =
-  let chi_prime = chi_prime_iv t ~f in
-  let vth = vth_of_vdd_iv t ~chi_prime vdd in
-  Iv.add (pdyn_iv t ~f ~vdd) (pstat_iv t ~vdd ~vth)
+let locus_iv t ~chi_prime vdd =
+  if vdd.Iv.lo <= 0.0 then invalid_arg "Power_law.locus_iv: vdd box <= 0";
+  let g = Iv.pow_scalar (Iv.mul chi_prime vdd) (1.0 /. t.tech.alpha) in
+  let vth = Iv.sub vdd g in
+  {
+    supply = vdd;
+    g;
+    leak = Iv.exp (Iv.scale (-1.0 /. Device.Technology.n_ut t.tech) vth);
+  }
+
+let ptot_on_constraint_iv t ~f l =
+  let p = t.params in
+  Iv.add (pdyn_iv t ~f ~vdd:l.supply)
+    (Iv.scale (p.Arch_params.n_cells *. p.io_cell) (Iv.mul l.supply l.leak))
 
 (* Enclosure of d(Ptot)/dVdd along the constraint locus. With
    g(v) = (chi' v)^(1/alpha) and vth = v - g:
@@ -122,26 +121,20 @@ let ptot_on_constraint_iv t ~f ~vdd =
      pstat'= N io_cell e^{-vth/nUt} (1 - v vth'/nUt)
    A sign-definite result over a box proves Ptot monotone there — the
    branch-and-bound derivative-sign pruning rule. *)
-let dptot_on_constraint_iv t ~f ~vdd =
-  if vdd.Iv.lo <= 0.0 then
-    invalid_arg "Power_law.dptot_on_constraint_iv: vdd box <= 0";
+let dptot_on_constraint_iv t ~f l =
   let p = t.params in
   let n_ut = Device.Technology.n_ut t.tech in
-  let chi_prime = chi_prime_iv t ~f in
-  let g = Iv.pow_scalar (Iv.mul chi_prime vdd) (1.0 /. t.tech.alpha) in
-  let g' = Iv.scale (1.0 /. t.tech.alpha) (Iv.div g vdd) in
-  let vth = Iv.sub vdd g in
+  let g' = Iv.scale (1.0 /. t.tech.alpha) (Iv.div l.g l.supply) in
   let vth' = Iv.sub Iv.one g' in
   let pdyn' =
     Iv.scale
       (2.0 *. p.Arch_params.activity *. p.n_cells *. p.avg_cap)
-      (Iv.mul f vdd)
+      (Iv.mul f l.supply)
   in
   let pstat' =
     Iv.scale
       (p.Arch_params.n_cells *. p.io_cell)
-      (Iv.mul
-         (Iv.exp (Iv.scale (-1.0 /. n_ut) vth))
-         (Iv.sub Iv.one (Iv.scale (1.0 /. n_ut) (Iv.mul vdd vth'))))
+      (Iv.mul l.leak
+         (Iv.sub Iv.one (Iv.scale (1.0 /. n_ut) (Iv.mul l.supply vth'))))
   in
   Iv.add pdyn' pstat'

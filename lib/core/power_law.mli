@@ -95,39 +95,35 @@ val chi_prime_iv :
 (** χ′ over a frequency box — exactly proportional to f (Eq. 6).
     @raise Invalid_argument when the f box is not strictly positive. *)
 
-val vth_of_vdd_iv :
-  problem ->
-  chi_prime:Numerics.Interval.t ->
-  Numerics.Interval.t ->
-  Numerics.Interval.t
-(** Enclosure of the constraint-locus threshold [vdd − (χ′·vdd)^(1/α)].
-    @raise Invalid_argument when the vdd box is not strictly positive. *)
-
 val pdyn_iv :
   problem ->
   f:Numerics.Interval.t ->
   vdd:Numerics.Interval.t ->
   Numerics.Interval.t
 
-val pstat_iv :
-  problem ->
-  vdd:Numerics.Interval.t ->
-  vth:Numerics.Interval.t ->
-  Numerics.Interval.t
+(** The constraint-locus terms over one supply box, shared by the Ptot
+    and the dPtot/dVdd enclosures below so a caller wanting both pays the
+    transcendentals once. *)
+type locus_iv = private {
+  supply : Numerics.Interval.t;  (** The vdd box. *)
+  g : Numerics.Interval.t;  (** [(χ′·vdd)^(1/α)]. *)
+  leak : Numerics.Interval.t;  (** [e^(−vth/nUt)], [vth = vdd − g]. *)
+}
+
+val locus_iv :
+  problem -> chi_prime:Numerics.Interval.t -> Numerics.Interval.t -> locus_iv
+(** [locus_iv t ~chi_prime vdd], with [chi_prime] the {!chi_prime_iv} of
+    the f box (passed in so a caller evaluating many supply boxes
+    computes it once).
+    @raise Invalid_argument when the vdd box is not strictly positive. *)
 
 val ptot_on_constraint_iv :
-  problem ->
-  f:Numerics.Interval.t ->
-  vdd:Numerics.Interval.t ->
-  Numerics.Interval.t
-(** Enclosure of {!Numerical_opt.ptot_on_constraint} over a (f, vdd) box. *)
+  problem -> f:Numerics.Interval.t -> locus_iv -> Numerics.Interval.t
+(** Enclosure of {!Numerical_opt.ptot_on_constraint} over a (f, vdd) box,
+    the locus taken over the same boxes. *)
 
 val dptot_on_constraint_iv :
-  problem ->
-  f:Numerics.Interval.t ->
-  vdd:Numerics.Interval.t ->
-  Numerics.Interval.t
-(** Enclosure of d(Ptot)/dVdd along the constraint locus. A sign-definite
-    result proves Ptot monotone on the box — the derivative-sign pruning
-    rule of {!Absint.certify}.
-    @raise Invalid_argument when the vdd box is not strictly positive. *)
+  problem -> f:Numerics.Interval.t -> locus_iv -> Numerics.Interval.t
+(** Enclosure of d(Ptot)/dVdd along the constraint locus over the same
+    boxes. A sign-definite result proves Ptot monotone on the box — the
+    derivative-sign pruning rule of {!Absint.certify}. *)

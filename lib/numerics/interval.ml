@@ -77,9 +77,11 @@ let mul a b =
     hi = up (Float.max (Float.max p1 p2) (Float.max p3 p4));
   }
 
+(* [mul] by the point [k, k]: its four endpoint products are two. *)
 let scale k t =
   if Float.is_nan k then invalid_arg "Interval.scale: NaN";
-  mul (of_float k) t
+  let p1 = mul_ep k t.lo and p2 = mul_ep k t.hi in
+  { lo = down (Float.min p1 p2); hi = up (Float.max p1 p2) }
 
 let sqr t =
   let a = Float.abs t.lo and b = Float.abs t.hi in
@@ -124,13 +126,17 @@ let div a b =
 
 let inv t = div one t
 
+(* A zero-width box makes one libm call: the same argument gives the
+   same result at both ends. *)
 let exp t =
+  let e_lo = Float.exp t.lo in
+  let e_hi = if t.hi = t.lo then e_lo else Float.exp t.hi in
   {
     (* e^x > 0 always: the one-ulp outward step below a tiny positive
        result may cross zero, clamp it back (0-width boxes at large
        negative x evaluate exp to exactly 0.0). *)
-    lo = Float.max 0.0 (down2 (Float.exp t.lo));
-    hi = up2 (Float.exp t.hi);
+    lo = Float.max 0.0 (down2 e_lo);
+    hi = up2 e_hi;
   }
 
 let log t =
@@ -148,14 +154,18 @@ let pow_scalar t y =
   if t.lo < 0.0 then
     invalid_arg "Interval.pow_scalar: negative base interval";
   if y = 0.0 then one
-  else if y > 0.0 then
-    {
-      lo = (if t.lo = 0.0 then 0.0 else Float.max 0.0 (down2 (t.lo ** y)));
-      hi = up2 (t.hi ** y);
-    }
-  else if t.lo = 0.0 then
-    { lo = Float.max 0.0 (down2 (t.hi ** y)); hi = Float.infinity }
-  else { lo = Float.max 0.0 (down2 (t.hi ** y)); hi = up2 (t.lo ** y) }
+  else
+    (* One libm call per distinct endpoint, as in [exp]. *)
+    let p_hi = t.hi ** y in
+    let p_lo = if t.lo = t.hi then p_hi else t.lo ** y in
+    if y > 0.0 then
+      {
+        lo = (if t.lo = 0.0 then 0.0 else Float.max 0.0 (down2 p_lo));
+        hi = up2 p_hi;
+      }
+    else if t.lo = 0.0 then
+      { lo = Float.max 0.0 (down2 p_hi); hi = Float.infinity }
+    else { lo = Float.max 0.0 (down2 p_hi); hi = up2 p_lo }
 
 let split t =
   let m = mid t in
@@ -167,18 +177,20 @@ let pp ppf t = Format.fprintf ppf "[%g, %g]" t.lo t.hi
 
 (* --- Affine forms ---------------------------------------------------- *)
 
-(* x = mid + sum_i c_i * eps_i + delta, eps_i in [-1, 1], |delta| <= err.
-   Shared noise symbols keep linear correlation between quantities derived
-   from the same variable, which is what defeats the dependency blow-up of
-   plain intervals on expressions like v - (chi' v)^(1/alpha) where v
-   appears several times. Every operation inflates [err] by an outward
-   bound on its own rounding, so [to_interval] is a sound enclosure. *)
+(* x = mid + c * eps + delta, eps in [-1, 1], |delta| <= err. One noise
+   symbol is all the certifier needs — a box has one correlated variable,
+   the supply voltage — and it keeps the linear correlation between
+   quantities derived from it, which is what defeats the dependency
+   blow-up of plain intervals on expressions like v - (chi' v)^(1/alpha)
+   where v appears several times. [c = 0.0] means the form does not depend
+   on the symbol. Every operation inflates [err] by an outward bound on its
+   own rounding, so [to_interval] is a sound enclosure. *)
 module Affine = struct
   type interval = t
 
   type form = {
     mid : float;
-    coeffs : (int * float) list; (* sorted by symbol id, no zeros *)
+    c : float; (* 0.0: no dependence on the symbol *)
     err : float; (* >= 0 *)
   }
 
@@ -186,56 +198,36 @@ module Affine = struct
      relative, the absolute floor covers subnormals. *)
   let slop v = (Float.abs v *. 1e-15) +. 1e-290
 
+  (* An absent coefficient stays absent: an infinite [k] must not turn it
+     into NaN. *)
+  let times k c = if c = 0.0 then 0.0 else k *. c
+
+  (* A result coefficient's own rounding, charged to the error term. *)
+  let with_coeff mid c err =
+    if c = 0.0 then { mid; c; err } else { mid; c; err = up (err +. slop c) }
+
   let const x =
     if Float.is_nan x then invalid_arg "Affine.const: NaN";
-    { mid = x; coeffs = []; err = 0.0 }
+    { mid = x; c = 0.0; err = 0.0 }
 
-  let of_interval ~id (iv : interval) =
+  let of_interval (iv : interval) =
     if not (is_finite iv) then
       invalid_arg "Affine.of_interval: infinite interval";
     let mid = mid iv in
     let r = Float.max (up (mid -. iv.lo)) (up (iv.hi -. mid)) in
-    { mid; coeffs = [ (id, r) ]; err = 0.0 }
+    { mid; c = r; err = 0.0 }
 
-  let radius t =
-    List.fold_left
-      (fun acc (_, c) -> up (acc +. Float.abs c))
-      t.err t.coeffs
+  let radius t = if t.c = 0.0 then t.err else up (t.err +. Float.abs t.c)
 
   let to_interval t =
     let r = radius t in
     { lo = down (t.mid -. r); hi = up (t.mid +. r) }
 
-  let neg t =
-    { mid = -.t.mid; coeffs = List.map (fun (i, c) -> (i, -.c)) t.coeffs;
-      err = t.err }
-
-  let merge_coeffs f a b =
-    let rec go acc a b =
-      match (a, b) with
-      | [], [] -> List.rev acc
-      | (i, c) :: ta, [] | [], (i, c) :: ta ->
-        go ((i, f 0.0 c) :: acc) ta []
-      | (ia, ca) :: ta, (ib, cb) :: tb ->
-        if ia = ib then go ((ia, f ca cb) :: acc) ta tb
-        else if ia < ib then go ((ia, f ca 0.0) :: acc) ta b
-        else go ((ib, f 0.0 cb) :: acc) a tb
-    in
-    go [] a b
-
-  let prune_and_slop coeffs err0 =
-    List.fold_left
-      (fun (cs, err) (i, c) ->
-        if c = 0.0 then (cs, err) else ((i, c) :: cs, up (err +. slop c)))
-      ([], err0) (List.rev coeffs)
+  let neg t = { mid = -.t.mid; c = -.t.c; err = t.err }
 
   let add a b =
     let mid = a.mid +. b.mid in
-    let coeffs = merge_coeffs ( +. ) a.coeffs b.coeffs in
-    let coeffs, err =
-      prune_and_slop coeffs (up (up (a.err +. b.err) +. slop mid))
-    in
-    { mid; coeffs; err }
+    with_coeff mid (a.c +. b.c) (up (up (a.err +. b.err) +. slop mid))
 
   let sub a b = add a (neg b)
   let add_const x t = add (const x) t
@@ -243,29 +235,18 @@ module Affine = struct
   let scale k t =
     if Float.is_nan k then invalid_arg "Affine.scale: NaN";
     let mid = k *. t.mid in
-    let coeffs = List.map (fun (i, c) -> (i, k *. c)) t.coeffs in
-    let coeffs, err =
-      prune_and_slop coeffs (up ((Float.abs k *. t.err) +. slop mid))
-    in
-    { mid; coeffs; err }
+    with_coeff mid (times k t.c) (up ((Float.abs k *. t.err) +. slop mid))
 
-  (* General product: linear part exact in the noise symbols, the
-     cross-noise term bounded by the product of the two radii. *)
+  (* General product: linear part exact in the noise symbol, the
+     second-order term bounded by the product of the two radii. *)
   let mul a b =
     let ra = radius a and rb = radius b in
     let mid = a.mid *. b.mid in
-    let coeffs =
-      merge_coeffs ( +. )
-        (List.map (fun (i, c) -> (i, b.mid *. c)) a.coeffs)
-        (List.map (fun (i, c) -> (i, a.mid *. c)) b.coeffs)
-    in
-    let err0 =
-      up
-        (up ((Float.abs a.mid *. b.err) +. (Float.abs b.mid *. a.err))
-        +. up ((ra *. rb) +. slop mid))
-    in
-    let coeffs, err = prune_and_slop coeffs err0 in
-    { mid; coeffs; err }
+    with_coeff mid
+      (times b.mid a.c +. times a.mid b.c)
+      (up
+         (up ((Float.abs a.mid *. b.err) +. (Float.abs b.mid *. a.err))
+         +. up ((ra *. rb) +. slop mid)))
 
   let sqr t = mul t t
 

@@ -88,28 +88,31 @@ val split : t -> (t * t) option
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-(** Affine forms: [mid + sum_i c_i eps_i + err], [eps_i] in [[-1, 1]].
+(** Affine forms in one noise symbol: [mid + c·eps + err], [eps] in
+    [[-1, 1]].
 
-    Shared noise symbols preserve linear correlation between quantities
-    derived from the same variable, which defeats the dependency problem
-    of plain intervals on expressions like [v - (chi' v)^(1/alpha)] where
-    [v] occurs several times. All operations inflate [err] by an outward
-    bound on their own rounding error, so {!Affine.to_interval} is always
-    a sound enclosure. *)
+    The symbol stands for one variable (the certifier's supply voltage),
+    so every form built from {!Affine.of_interval} of that variable shares
+    it. This preserves linear correlation between quantities derived from
+    it, which defeats the dependency problem of plain intervals on
+    expressions like [v - (chi' v)^(1/alpha)] where [v] occurs several
+    times. [c = 0.0] means the form does not depend on the symbol. All
+    operations inflate [err] by an outward bound on their own rounding
+    error, so {!Affine.to_interval} is always a sound enclosure. *)
 module Affine : sig
   type interval := t
 
   type form = private {
     mid : float;
-    coeffs : (int * float) list;
+    c : float;  (** Coefficient of the noise symbol; [0.0] when absent. *)
     err : float;
   }
 
   val const : float -> form
-  val of_interval : id:int -> interval -> form
-  (** Fresh noise symbol [id] spanning the interval. Symbols with equal
-      ids are treated as the same variable — reuse an id only for forms
-      derived from the same quantity. *)
+  val of_interval : interval -> form
+  (** The variable spanning the interval, as the noise symbol. Forms
+      from two calls are treated as the same variable — use it for one
+      quantity only. *)
 
   val to_interval : form -> interval
   val radius : form -> float

@@ -599,7 +599,7 @@ let prop_affine_sound_and_tighter =
     (fun ((a, b), t) ->
       let lo = Float.min a b and hi = Float.max a b +. 0.1 in
       let v = Iv.make lo hi in
-      let av = Iv.Affine.of_interval ~id:0 v in
+      let av = Iv.Affine.of_interval v in
       let f = Iv.Affine.sub av (Iv.Affine.scale 0.1 (Iv.Affine.sqr av)) in
       let enc = Iv.Affine.to_interval f in
       let p = interior (lo, hi) t in
@@ -612,7 +612,7 @@ let test_affine_const_and_interval_roundtrip () =
   Alcotest.(check bool) "const has no spread" true
     (Iv.width (Iv.Affine.to_interval c) <= 1e-12);
   let v = Iv.make 1.0 3.0 in
-  let f = Iv.Affine.of_interval ~id:7 v in
+  let f = Iv.Affine.of_interval v in
   Alcotest.(check bool) "of_interval covers the box" true
     (Iv.subset v (Iv.Affine.to_interval f));
   (* Correlation: x - x over a shared symbol collapses to ~0. *)
