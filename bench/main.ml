@@ -244,6 +244,26 @@ let bench_variation_engine =
       let rng = Numerics.Rng.create 2006 in
       ignore (Power_core.Variation.yield_mc ~dies:2000 ~rng calibrated_problem))
 
+(* Yield engine A/B: the reference chunk body (test/oracles: four flat
+   factor arrays, a problem record per die, [solve_chain_into] warm
+   chains into two value arrays, then the sketches) against the one-pass
+   production engine, over the same 16,384 Sobol dies. Both return the
+   same result bit for bit and count the same mc.*, opt.* and sketch.*
+   counters. *)
+let yield_engine_dies = 16_384
+
+let bench_diag_yield_engine_oracle =
+  slow "diag:yield-engine-oracle" (fun () ->
+      ignore
+        (Oracles.Variation.yield_mc ~dies:yield_engine_dies ~sampler:`Sobol
+           ~rng:(Numerics.Rng.create 2006) calibrated_problem))
+
+let bench_diag_yield_engine =
+  slow "diag:yield-engine" (fun () ->
+      ignore
+        (Power_core.Variation.yield_mc ~dies:yield_engine_dies ~sampler:`Sobol
+           ~rng:(Numerics.Rng.create 2006) calibrated_problem))
+
 (* Interval certifier over the full LL catalog: one branch-and-bound
    certification plus one production solve per Table 1 row, the body of
    `optpower certify --tech LL`. Counters cert.boxes/splits/prunes ride
@@ -471,6 +491,8 @@ let benchmarks =
     bench_variation_qmc_vs_mc;
     bench_variation_naive;
     bench_variation_engine;
+    bench_diag_yield_engine_oracle;
+    bench_diag_yield_engine;
     bench_percentile_sort;
     bench_percentile_select;
     bench_certify_catalog;
@@ -661,12 +683,43 @@ let counter_snapshot bench =
   Obs.reset ();
   (name, counters)
 
+(* The host a run was timed on. [reference_loop_ms] times a fixed
+   CPU-bound loop, the one perfbench times (best of three): the ratio of
+   two files' loop times shows how much of a timing difference is the
+   host rather than the program. *)
+type host = { nproc : int; ocaml : string; reference_loop_ms : float }
+
+let reference_loop_ms () =
+  let once () =
+    let t0 = Obs.now_ns () in
+    let acc = ref 0.0 in
+    for i = 1 to 20_000_000 do
+      acc := !acc +. (1.0 /. float_of_int i)
+    done;
+    if !acc <= 0.0 then assert false;
+    (Obs.now_ns () -. t0) /. 1e6
+  in
+  Float.min (once ()) (Float.min (once ()) (once ()))
+
+let host () =
+  {
+    nproc = Domain.recommended_domain_count ();
+    ocaml = Sys.ocaml_version;
+    reference_loop_ms = reference_loop_ms ();
+  }
+
 (* Minimal JSON writer: benchmark and counter names are plain ASCII without
    quotes or backslashes, so escaping is not needed. *)
-let write_json ~path ?(metrics = []) results =
+let write_json ~path ~host ?(metrics = []) results =
   let oc = open_out path in
   Printf.fprintf oc "{\n  \"schema\": \"optpower-bench/1\",\n";
   Printf.fprintf oc "  \"jobs\": %d,\n" (Parallel.Pool.default_jobs ());
+  Printf.fprintf oc
+    "  \"host\": { \"nproc\": %d, \"jobs\": %d, \"ocaml\": %S, \
+     \"reference_loop_ms\": %.3f },\n"
+    host.nproc
+    (Parallel.Pool.default_jobs ())
+    host.ocaml host.reference_loop_ms;
   Printf.fprintf oc "  \"unit\": \"ns/run\",\n  \"results\": {\n";
   List.iteri
     (fun i (name, estimate) ->
@@ -710,15 +763,28 @@ let parse_metric_line line =
   end
   | _ -> None
 
+(* The reference-loop time of the ["host": { ... }] line [write_json]
+   writes. *)
+let parse_host_line line =
+  try
+    Scanf.sscanf line
+      " \"host\" : { \"nproc\" : %d , \"jobs\" : %d , \"ocaml\" : %S , \
+       \"reference_loop_ms\" : %f"
+      (fun _ _ _ ms -> Some ms)
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
 let parse_baseline path =
   let ic = open_in path in
   let results = ref [] in
   let metrics = ref [] in
+  let host_ref = ref None in
   let section = ref `Preamble in
   (try
      while true do
        let line = String.trim (input_line ic) in
-       if String.length line >= 9 && String.sub line 0 9 = "\"results\"" then
+       if String.length line >= 6 && String.sub line 0 6 = "\"host\"" then
+         host_ref := parse_host_line line
+       else if String.length line >= 9 && String.sub line 0 9 = "\"results\"" then
          section := `Results
        else if String.length line >= 9 && String.sub line 0 9 = "\"metrics\""
        then section := `Metrics
@@ -746,7 +812,7 @@ let parse_baseline path =
      done
    with End_of_file -> ());
   close_in ic;
-  (List.rev !results, List.rev !metrics)
+  (List.rev !results, List.rev !metrics, !host_ref)
 
 (* Regression gate: every benchmark present in both runs must stay within
    +25% of its recorded baseline, and every counter shared with the
@@ -790,8 +856,8 @@ let compare_counters ~base_metrics metrics =
     metrics;
   (!compared, List.rev !regressions)
 
-let compare_against ~path ~metrics results =
-  let baseline, base_metrics = parse_baseline path in
+let compare_against ~path ~host ~metrics results =
+  let baseline, base_metrics, base_ref = parse_baseline path in
   Printf.printf "\n=== Regression check vs %s (threshold %+.0f%%) ===\n\n" path
     ((regression_threshold -. 1.0) *. 100.0);
   Printf.printf "%-42s %12s %12s %7s\n" "benchmark" "baseline" "current"
@@ -830,6 +896,13 @@ let compare_against ~path ~metrics results =
       (List.length names) !compared
       (String.concat ", " names);
     failed := true);
+  (match base_ref with
+  | Some base ->
+    Printf.printf
+      "host: reference loop %.1f ms in the baseline, %.1f ms now \
+       (baseline/current %.2fx)\n"
+      base host.reference_loop_ms (base /. host.reference_loop_ms)
+  | None -> print_endline "host: the baseline has no host record");
   (match counter_regressions with
   | [] ->
     Printf.printf "OK: %d shared counter(s) within the +10%% budget\n"
@@ -844,20 +917,16 @@ let compare_against ~path ~metrics results =
 (* Disabled-instrumentation overhead contract (checked under --smoke): an
    un-instrumented replica of the grid-scan solver vs the real,
    instrumented [Numerical_opt.optimum_grid] with observability off. The
-   replica inlines [ptot_on_constraint] and the default bracket/sample
-   settings, so the two sides differ only by the instrumentation points
+   replica evaluates the objective behind [ptot_on_constraint]
+   ([Power_law.objective]) with the default bracket/sample settings, so the two sides differ only by the instrumentation points
    (the seeded production path shares those same points per probe, but
    runs a different probe count, so the A/B must stay on the scan).
    Wall-clock A/B on a shared machine is noisy, so we take the best of
    several attempts — the contract is about the code, not the
    scheduler. *)
 let baseline_optimum problem =
-  let f vdd =
-    if vdd <= 0.0 then infinity
-    else begin
-      let b = Power_core.Power_law.at problem ~vdd in
-      if Float.is_finite b.total then b.total else infinity
-    end
+  let f =
+    Power_core.Power_law.objective (Power_core.Power_law.coeffs problem)
   in
   let r = Numerics.Minimize.grid_then_golden ~samples:256 ~tol:1e-9 ~f 0.05 3.0 in
   Power_core.Power_law.at problem ~vdd:r.x
@@ -934,6 +1003,9 @@ let () =
     (fun anon -> raise (Arg.Bad ("unexpected argument " ^ anon)))
     "bench [--smoke] [--json] [--out FILE] [--no-tables] [--compare FILE] \
      [--only SUBSTR]";
+  (* Timed before any benchmark, while the process is otherwise idle. *)
+  let host = lazy (host ()) in
+  if !json || !compare_path <> "" then ignore (Lazy.force host);
   if !smoke then begin
     print_endline "=== Bench smoke (one fast benchmark) ===\n";
     let smoke_bench =
@@ -944,9 +1016,11 @@ let () =
       if !json || !compare_path <> "" then [ counter_snapshot smoke_bench ]
       else []
     in
-    if !json then write_json ~path:!out ~metrics results;
+    if !json then
+      write_json ~path:!out ~host:(Lazy.force host) ~metrics results;
     if !compare_path <> "" then
-      compare_against ~path:!compare_path ~metrics results;
+      compare_against ~path:!compare_path ~host:(Lazy.force host) ~metrics
+        results;
     overhead_check ()
   end
   else begin
@@ -976,7 +1050,9 @@ let () =
         @ (if serve_selected then [ serve_counter_snapshot () ] else [])
       else []
     in
-    if !json then write_json ~path:!out ~metrics results;
+    if !json then
+      write_json ~path:!out ~host:(Lazy.force host) ~metrics results;
     if !compare_path <> "" then
-      compare_against ~path:!compare_path ~metrics results
+      compare_against ~path:!compare_path ~host:(Lazy.force host) ~metrics
+        results
   end

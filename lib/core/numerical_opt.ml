@@ -20,12 +20,7 @@ let c_grid2_solves = Obs.Counter.make "opt.grid2_solves"
 
 let default_vdd_lo, default_vdd_hi = Power_law.vdd_search_range
 
-let ptot_on_constraint problem vdd =
-  if vdd <= 0.0 then infinity
-  else begin
-    let b = Power_law.at problem ~vdd in
-    if Float.is_finite b.total then b.total else infinity
-  end
+let ptot_on_constraint problem = Power_law.objective (Power_law.coeffs problem)
 
 (* The pre-seeding solver: a blind 256-point scan localises the optimum
    basin, golden section refines it. Kept verbatim as the differential
@@ -43,23 +38,23 @@ let optimum_grid ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
       Obs.Counter.add c_grid_evals samples;
       Power_law.at problem ~vdd:r.x)
 
-(* Refine from a seed supply: expand a bracket geometrically around the
-   seed until unimodality is established, then Brent. [scale] is the
-   relative trust radius — Eq. 13 seeds are good to a few percent, warm
-   starts from a neighbouring solve usually much better, but the expansion
-   makes the exact value uncritical. *)
-let solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale problem =
+(* The one seeded solve, over any on-constraint objective: expand a
+   bracket geometrically around the seed until unimodality is
+   established, then Brent. [scale] is the relative trust radius — Eq. 13
+   seeds are good to a few percent, warm starts from a neighbouring solve
+   usually much better, but the expansion makes the exact value
+   uncritical. The result's [fx] is [f x], so a caller that needs only
+   the total reads it there. *)
+let solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale f =
   let x0 = Float.min vdd_hi (Float.max vdd_lo seed) in
   let r =
-    Numerics.Minimize.seeded_bracket ~tol:1e-9 ~f:(ptot_on_constraint problem)
-      ~x0
-      ~scale:(scale *. x0)
+    Numerics.Minimize.seeded_bracket ~tol:1e-9 ~f ~x0 ~scale:(scale *. x0)
       vdd_lo vdd_hi
   in
   Obs.Counter.incr c_solves;
   Obs.Counter.incr c_seeded_solves;
   Obs.Counter.add c_brent_iters r.iterations;
-  Power_law.at problem ~vdd:r.x
+  r
 
 (* The closed form is a trustworthy seed only where its own derivation
    holds: the Eq. 7 linearization must be feasible and the predicted
@@ -81,15 +76,24 @@ let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
   match eq13_seed ~vdd_lo ~vdd_hi problem with
   | Some seed ->
     Obs.Span.with_ ~name:"opt.solve" (fun () ->
-        solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale:0.05 problem)
+        let r =
+          solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale:0.05
+            (ptot_on_constraint problem)
+        in
+        Power_law.at problem ~vdd:r.x)
   | None ->
     Obs.Counter.incr c_seed_fallbacks;
     optimum_grid ~vdd_lo ~vdd_hi ~samples problem
 
-let optimum_warm ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
-    ~from:(from : point) problem =
+let warm_solve ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ~from f =
   Obs.Span.with_ ~name:"opt.solve" (fun () ->
-      solve_seeded ~vdd_lo ~vdd_hi ~seed:from.vdd ~scale:0.02 problem)
+      solve_seeded ~vdd_lo ~vdd_hi ~seed:from ~scale:0.02 f)
+
+let optimum_warm ?vdd_lo ?vdd_hi ~from:(from : point) problem =
+  let r =
+    warm_solve ?vdd_lo ?vdd_hi ~from:from.vdd (ptot_on_constraint problem)
+  in
+  Power_law.at problem ~vdd:r.x
 
 let c_store_hits = Obs.Counter.make "opt.store_hits"
 let c_store_misses = Obs.Counter.make "opt.store_misses"

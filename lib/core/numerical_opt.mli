@@ -17,9 +17,11 @@
 type point = Power_law.breakdown
 
 val ptot_on_constraint : Power_law.problem -> float -> float
-(** Total power at a supply, threshold set by the timing constraint.
-    Returns [infinity] for supplies whose implied threshold is absurd
-    (vdd ≤ 0). *)
+(** Total power at a supply, threshold set by the timing constraint:
+    {!Power_law.objective} of the problem's {!Power_law.coeffs}, which
+    [ptot_on_constraint problem] computes once. Returns [infinity] for
+    supplies whose implied threshold is absurd (vdd ≤ 0) and wherever the
+    total is not finite. *)
 
 val optimum :
   ?vdd_lo:float -> ?vdd_hi:float -> ?samples:int ->
@@ -50,6 +52,18 @@ val optimum_warm :
     tight (2 %) trust radius. The bracket expansion makes the result exact
     even when the neighbour is further away than that — only the iteration
     count grows. *)
+
+val warm_solve :
+  ?vdd_lo:float -> ?vdd_hi:float -> from:float -> (float -> float) ->
+  Numerics.Minimize.result
+(** [warm_solve ~from f] is the solve under {!optimum_warm} on any
+    on-constraint objective [f] (such as {!Power_law.objective}): seeded
+    at the supply [from] with the same 2 % trust radius, under the same
+    [opt.solve] span and [opt.solves] / [opt.seeded_solves] /
+    [opt.brent_iters] counters. The result's [fx] is [f x], so a caller
+    that needs only the optimal total reads it there: {!optimum_warm} is
+    [warm_solve ~from:from.vdd (ptot_on_constraint problem)] followed by
+    {!Power_law.at} at the minimiser. *)
 
 val optimum_hinted :
   ?vdd_lo:float -> ?vdd_hi:float -> hint:point option ->
@@ -123,10 +137,11 @@ val solve_chain_into :
     optimum ({!optimum_warm}), and solve 0 seeds from [head] when given
     (else it solves cold via {!optimum}). Each result is passed to
     [write i point] as soon as it is available — nothing is retained, so
-    the caller can stream into flat arrays or sketches without per-die
-    allocation. This is the building block under {!Variation.yield_mc}'s
-    per-chunk solver; unlike {!optima_continued} it does not touch the
-    pool, letting the caller own the parallel decomposition. *)
+    the caller can stream into flat arrays or sketches. Unlike
+    {!optima_continued} it does not touch the pool, letting the caller
+    own the parallel decomposition. {!Variation.yield_mc} solves its
+    dies through {!warm_solve} instead, needing no problem record per
+    die. *)
 
 val optimum_grid2 :
   ?vdd_range:float * float ->

@@ -68,6 +68,42 @@ let at_free t ~vdd ~vth =
 
 let at t ~vdd = at_free t ~vdd ~vth:(vth_of_vdd t vdd)
 
+type coeffs = {
+  kdyn : float;
+  n_cells : float;
+  io_cell : float;
+  chi_p : float;
+  inv_alpha : float;
+  n_ut : float;
+}
+
+let coeffs t =
+  let p = t.params in
+  {
+    kdyn = p.Arch_params.activity *. p.n_cells *. p.avg_cap *. t.f;
+    n_cells = p.n_cells;
+    io_cell = p.io_cell;
+    chi_p = t.chi_prime;
+    inv_alpha = 1.0 /. t.tech.alpha;
+    n_ut = Device.Technology.n_ut t.tech;
+  }
+
+(* [at]'s total with the per-problem products hoisted: [pdyn] multiplies
+   left to right, so a.N.C.f.vdd.vdd is (kdyn.vdd).vdd, and every other
+   operation is [vth_of_vdd]'s and [pstat]'s in the same order — the bits
+   are equal. *)
+let total_on_locus c vdd =
+  let vth = vdd -. ((c.chi_p *. vdd) ** c.inv_alpha) in
+  (c.kdyn *. vdd *. vdd)
+  +. (c.n_cells *. vdd *. c.io_cell *. Float.exp (-.vth /. c.n_ut))
+
+let objective c vdd =
+  if vdd <= 0.0 then infinity
+  else begin
+    let total = total_on_locus c vdd in
+    if Float.is_finite total then total else infinity
+  end
+
 let meets_timing t ~vdd ~vth =
   vdd > vth && ((vdd -. vth) ** t.tech.alpha) /. vdd >= t.chi_prime
 
@@ -100,7 +136,13 @@ type locus_iv = { supply : Iv.t; g : Iv.t; leak : Iv.t }
 
 let locus_iv t ~chi_prime vdd =
   if vdd.Iv.lo <= 0.0 then invalid_arg "Power_law.locus_iv: vdd box <= 0";
-  let g = Iv.pow_scalar (Iv.mul chi_prime vdd) (1.0 /. t.tech.alpha) in
+  (* chi' and vdd are both positive: where the outward-rounded product
+     reaches below zero (a supply box starting at a few ulps above 0),
+     its lower end clamps back to 0, which keeps the enclosure sound and
+     the root's base non-negative. *)
+  let cv = Iv.mul chi_prime vdd in
+  let cv = if cv.Iv.lo < 0.0 then Iv.make 0.0 cv.Iv.hi else cv in
+  let g = Iv.pow_scalar cv (1.0 /. t.tech.alpha) in
   let vth = Iv.sub vdd g in
   {
     supply = vdd;

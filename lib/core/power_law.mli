@@ -68,6 +68,28 @@ type breakdown = {
 val at : problem -> vdd:float -> breakdown
 (** Power on the timing-constraint locus at the given supply. *)
 
+(** The on-constraint total power of one problem with its per-problem
+    products computed once — what every solver minimises. *)
+type coeffs = {
+  kdyn : float;  (** [a·N·C·f], multiplied left to right. *)
+  n_cells : float;  (** N. *)
+  io_cell : float;  (** Io per cell, A. *)
+  chi_p : float;  (** χ′. *)
+  inv_alpha : float;  (** [1/α]. *)
+  n_ut : float;  (** [n·Ut], V. *)
+}
+
+val coeffs : problem -> coeffs
+
+val total_on_locus : coeffs -> float -> float
+(** [total_on_locus (coeffs t) vdd] is bit for bit
+    [(at t ~vdd).total] for any [vdd > 0]: the same float operations in
+    the same order. It may be infinite or NaN. *)
+
+val objective : coeffs -> float -> float
+(** {!total_on_locus} as a minimisation objective: [infinity] for
+    [vdd <= 0] and wherever the total is not finite. *)
+
 val at_free : problem -> vdd:float -> vth:float -> breakdown
 (** Power at an arbitrary (possibly infeasible) couple — used by the
     two-dimensional maps of Figure 1. *)

@@ -28,8 +28,8 @@ let c_samples = Obs.Counter.make "mc.samples"
 
 (* The die's parameter draw, separated from its re-optimisation so the
    solves can run as warm-started continuation chains. [draw_raw] produces
-   the four factors only (what the streaming engine stores in its flat
-   per-chunk arrays); [apply_factors] turns them into the varied problem.
+   the four factors only (what the streaming engine builds each die's
+   objective from); [apply_factors] turns them into the varied problem.
    The draw order (leak, cap, speed, alpha) is part of the determinism
    contract: the engine's per-die pseudo draws must be bitwise-identical to
    [monte_carlo]'s, which the differential oracle test relies on. *)
@@ -216,6 +216,12 @@ let yield_mc ?(spread = default_spread) ?(dies = 10_000) ?(chunk = 4096)
                ~dims:4 ())
       in
       let alpha0 = problem.tech.alpha in
+      (* Per-problem factors of each die's objective coefficients: the
+         die varies C, Io, chi' and alpha, so [kdyn = ((a N) (C cap)) f]
+         multiplies in [Power_law.pdyn]'s order. *)
+      let p = problem.params in
+      let a_n = p.Arch_params.activity *. p.n_cells
+      and n_ut = Device.Technology.n_ut problem.tech in
       let nchunks = (dies + chunk - 1) / chunk in
       let process c =
         Obs.Span.with_ ~name:"yield.chunk" (fun () ->
@@ -223,82 +229,85 @@ let yield_mc ?(spread = default_spread) ?(dies = 10_000) ?(chunk = 4096)
             let start = c * chunk in
             let len = Stdlib.min chunk (dies - start) in
             Obs.Counter.add c_samples len;
-            (* SoA draw stage: one flat array per varied parameter — the
-               only per-die storage in the engine, scoped to the chunk. *)
-            let leak = Array.make len 0.0
-            and cap = Array.make len 0.0
-            and speed = Array.make len 0.0
-            and alpha = Array.make len 0.0 in
+            let acc = fresh_acc ~specs () in
+            (* One pass per die: draw its four factors, solve its
+               objective warm from its chain predecessor's optimum (the
+               nominal one at each chain head), feed the sketches. Chain
+               heads start warm rather than from the Eq. 13 closed form
+               because per-die alpha draws would miss (and grow) the
+               linearization memo on every cold solve; [chunk mod chain
+               = 0] aligns chain boundaries to chunk starts, so the
+               chains are the same whatever the pool size. *)
+            let solve ~leak_factor ~cap_factor ~speed_factor ~alpha ~from =
+              let c =
+                {
+                  Power_law.kdyn = a_n *. (p.avg_cap *. cap_factor) *. problem.f;
+                  n_cells = p.n_cells;
+                  io_cell = p.io_cell *. leak_factor;
+                  chi_p = problem.chi_prime *. speed_factor;
+                  inv_alpha = 1.0 /. alpha;
+                  n_ut;
+                }
+              in
+              let r = Numerical_opt.warm_solve ~from (Power_law.objective c) in
+              (* Brent's [fx] is [f x]: a finite one is the die's total,
+                 a non-finite total is recomputed as [Power_law.at] would
+                 give it. *)
+              let ptot =
+                if Float.is_finite r.fx then r.fx
+                else Power_law.total_on_locus c r.x
+              in
+              Numerics.Sketch.Moments.add acc.ptot_m ptot;
+              Numerics.Sketch.Quantile.add acc.ptot_q ptot;
+              Numerics.Sketch.Moments.add acc.vdd_m r.x;
+              Numerics.Sketch.Quantile.add acc.vdd_q r.x;
+              Numerics.Sketch.Yield.add acc.curve ptot;
+              r.x
+            in
+            let prev = ref nominal.Power_law.vdd in
             (match sobol with
             | None ->
               for k = 0 to len - 1 do
+                if k mod chain = 0 then prev := nominal.vdd;
                 let stream = Numerics.Rng.split_nth rng (start + k) in
-                let lf, cf, sf, al = draw_raw spread stream ~alpha0 in
-                leak.(k) <- lf;
-                cap.(k) <- cf;
-                speed.(k) <- sf;
-                alpha.(k) <- al
+                let leak_factor, cap_factor, speed_factor, alpha =
+                  draw_raw spread stream ~alpha0
+                in
+                prev :=
+                  solve ~leak_factor ~cap_factor ~speed_factor ~alpha
+                    ~from:!prev
               done
             | Some sobol ->
               (* Inverse-CDF transform: Box-Muller on a low-discrepancy
                  sequence would destroy its equidistribution. *)
+              let cursor = Numerics.Sobol.cursor sobol start in
               let pt = Array.make 4 0.0 in
               for k = 0 to len - 1 do
-                Numerics.Sobol.point_into sobol (start + k) pt;
-                leak.(k) <-
-                  Float.exp
-                    (spread.sigma_leak *. Numerics.Stats.normal_quantile pt.(0));
-                cap.(k) <-
-                  Float.max 0.5
-                    (1.0
-                    +. (spread.sigma_cap *. Numerics.Stats.normal_quantile pt.(1))
-                    );
-                speed.(k) <-
-                  Float.exp
-                    (spread.sigma_speed *. Numerics.Stats.normal_quantile pt.(2));
-                alpha.(k) <-
-                  Float.max 1.1
-                    (alpha0
-                    +. (spread.sigma_alpha
-                       *. Numerics.Stats.normal_quantile pt.(3)))
+                if k mod chain = 0 then prev := nominal.vdd;
+                Numerics.Sobol.next_into cursor pt;
+                prev :=
+                  solve
+                    ~leak_factor:
+                      (Float.exp
+                         (spread.sigma_leak
+                         *. Numerics.Stats.normal_quantile pt.(0)))
+                    ~cap_factor:
+                      (Float.max 0.5
+                         (1.0
+                         +. spread.sigma_cap
+                            *. Numerics.Stats.normal_quantile pt.(1)))
+                    ~speed_factor:
+                      (Float.exp
+                         (spread.sigma_speed
+                         *. Numerics.Stats.normal_quantile pt.(2)))
+                    ~alpha:
+                      (Float.max 1.1
+                         (alpha0
+                         +. spread.sigma_alpha
+                            *. Numerics.Stats.normal_quantile pt.(3)))
+                    ~from:!prev
               done;
               Obs.Counter.add c_sobol_draws len);
-            (* Solve stage: warm chains of [chain] dies, each head seeded
-               from the nominal optimum. [chunk mod chain = 0] keeps chain
-               boundaries aligned to chunk starts, so the chains are the
-               same whatever the pool size. Heads start warm rather than
-               from the Eq. 13 closed form because per-die alpha draws
-               would miss (and grow) the linearization memo on every cold
-               solve. *)
-            let ptot_a = Array.make len 0.0
-            and vdd_a = Array.make len 0.0 in
-            let pos = ref 0 in
-            while !pos < len do
-              let base = !pos in
-              let cl = Stdlib.min chain (len - base) in
-              Numerical_opt.solve_chain_into ~head:nominal
-                ~problem_of:(fun k ->
-                  let k = base + k in
-                  apply_factors problem ~leak_factor:leak.(k)
-                    ~cap_factor:cap.(k) ~speed_factor:speed.(k)
-                    ~alpha:alpha.(k))
-                ~n:cl
-                ~write:(fun k (pt : Numerical_opt.point) ->
-                  ptot_a.(base + k) <- pt.Power_law.total;
-                  vdd_a.(base + k) <- pt.Power_law.vdd)
-                ();
-              pos := base + cl
-            done;
-            (* Aggregate stage: per-die values leave the chunk only through
-               O(1)-memory sketches. *)
-            let acc = fresh_acc ~specs () in
-            for k = 0 to len - 1 do
-              Numerics.Sketch.Moments.add acc.ptot_m ptot_a.(k);
-              Numerics.Sketch.Quantile.add acc.ptot_q ptot_a.(k);
-              Numerics.Sketch.Moments.add acc.vdd_m vdd_a.(k);
-              Numerics.Sketch.Quantile.add acc.vdd_q vdd_a.(k);
-              Numerics.Sketch.Yield.add acc.curve ptot_a.(k)
-            done;
             acc)
       in
       let chunks = Parallel.Pool.map process (List.init nchunks Fun.id) in

@@ -62,10 +62,10 @@ val draw_factors :
 (** {1 Streaming parametric yield}
 
     {!yield_mc} scales the Monte Carlo to millions of dies by never
-    materialising per-die results: parameter draws land in flat per-chunk
-    arrays (structure-of-arrays), the re-optimisations run as warm chains
-    over those arrays, and every per-die value is absorbed into mergeable
-    O(1)-memory sketches ({!Numerics.Sketch}) before the chunk retires. *)
+    materialising per-die results: each die is drawn, re-optimised warm
+    from its chain predecessor and absorbed into mergeable O(1)-memory
+    sketches ({!Numerics.Sketch}) in one pass, with no per-die record or
+    array. *)
 
 type sampler = [ `Pseudo | `Sobol ]
 (** [`Pseudo]: one SplitMix64 stream per die ({!Numerics.Rng.split_nth} of
@@ -123,8 +123,8 @@ val yield_mc :
     [sketch.merges], [mc.samples]). The caller's [rng] is {e not}
     advanced: the run is a pure function of its state.
 
-    Memory: O(chunk) scratch per in-flight pool task plus O(1) per
-    statistic — independent of [dies].
+    Memory: O(1) per in-flight pool task and per statistic —
+    independent of [dies] and [chunk].
 
     @raise Invalid_argument if [dies < 1], [chain < 1], or [chunk] is not
     a positive multiple of [chain]. *)

@@ -7,7 +7,8 @@
    iterating a generator state. Random access is what makes deterministic
    chunked parallel generation trivial: die [i] always receives point [i],
    whatever pool chunk evaluates it. The per-point cost is O(popcount),
-   about 16 XORs on average. *)
+   about 16 XORs on average; a cursor started at any index then steps
+   through the following points at one XOR per dimension. *)
 
 let bits = 32
 
@@ -78,27 +79,71 @@ let create ?scramble ~dims () =
 
 let dims t = t.dims
 
+(* Point [n]'s word in dimension [d]: the scramble XOR the direction
+   numbers selected by the set bits of [gray = gray(n)]. *)
+let word t d gray =
+  let vd = t.v.(d) in
+  let x = ref t.shift.(d) in
+  let g = ref gray in
+  let k = ref 0 in
+  while !g <> 0 do
+    if !g land 1 = 1 then x := !x lxor vd.(!k);
+    g := !g lsr 1;
+    incr k
+  done;
+  !x
+
+(* Midpoint convention (x + 1/2) / 2^32 keeps the value strictly inside
+   (0, 1), so it survives an inverse-CDF transform. *)
+let unit_of_word x = float_of_int ((x lsl 1) lor 1) *. 0x1p-33
+
+let check_out t out what =
+  if Array.length out < t.dims then
+    invalid_arg ("Sobol." ^ what ^ ": output array too short")
+
 let point_into t n out =
   if n < 0 then invalid_arg "Sobol.point_into: negative index";
-  if Array.length out < t.dims then
-    invalid_arg "Sobol.point_into: output array too short";
+  check_out t out "point_into";
   let gray = n lxor (n lsr 1) in
   for d = 0 to t.dims - 1 do
-    let vd = t.v.(d) in
-    let x = ref t.shift.(d) in
-    let g = ref gray in
-    let k = ref 0 in
-    while !g <> 0 do
-      if !g land 1 = 1 then x := !x lxor vd.(!k);
-      g := !g lsr 1;
-      incr k
-    done;
-    (* Midpoint convention (x + 1/2) / 2^32 keeps the value strictly
-       inside (0, 1), so it survives an inverse-CDF transform. *)
-    out.(d) <- float_of_int ((!x lsl 1) lor 1) *. 0x1p-33
+    out.(d) <- unit_of_word (word t d gray)
   done
 
 let point t n =
   let out = Array.make t.dims 0.0 in
   point_into t n out;
   out
+
+(* A cursor holds the words of the point it last wrote (of [first] before
+   its first write). gray(n) and gray(n - 1) differ in bit ctz(n) only,
+   so each step is one XOR per dimension: the words equal the random
+   access ones at every index. *)
+type cursor = { seq : t; first : int; mutable next : int; words : int array }
+
+let cursor t n =
+  if n < 0 then invalid_arg "Sobol.cursor: negative index";
+  let gray = n lxor (n lsr 1) in
+  { seq = t; first = n; next = n; words = Array.init t.dims (fun d -> word t d gray) }
+
+let ctz n =
+  let k = ref 0 and n = ref n in
+  while !n land 1 = 0 do
+    incr k;
+    n := !n lsr 1
+  done;
+  !k
+
+let next_into c out =
+  let t = c.seq in
+  check_out t out "next_into";
+  let n = c.next in
+  if n > c.first then begin
+    let k = ctz n in
+    for d = 0 to t.dims - 1 do
+      c.words.(d) <- c.words.(d) lxor t.v.(d).(k)
+    done
+  end;
+  for d = 0 to t.dims - 1 do
+    out.(d) <- unit_of_word c.words.(d)
+  done;
+  c.next <- n + 1

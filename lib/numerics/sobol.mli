@@ -36,3 +36,20 @@ val point_into : t -> int -> float array -> unit
 
 val point : t -> int -> float array
 (** Allocating convenience wrapper over {!point_into}. *)
+
+type cursor
+(** A position in the sequence for sequential reads, such as one pool
+    chunk's consecutive dies. *)
+
+val cursor : t -> int -> cursor
+(** [cursor t n] computes point [n] by random access, as {!point_into}
+    does; the first {!next_into} writes it.
+    @raise Invalid_argument if [n < 0]. *)
+
+val next_into : cursor -> float array -> unit
+(** Writes the cursor's next point and advances: points [n], [n + 1], …
+    for a cursor started at [n]. Each step after the first is the
+    Gray-code update [x(k) = x(k − 1) xor v(ctz k)], one XOR per
+    dimension, and writes bit for bit what {!point_into} writes for the
+    same index. Allocation-free.
+    @raise Invalid_argument if [out] is too short. *)

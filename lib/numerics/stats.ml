@@ -134,33 +134,39 @@ let max_abs_relative_error pairs =
 (* Acklam's rational approximation to the standard normal quantile
    (relative error < 1.2e-9 over (0,1)): the inverse-CDF transform that
    turns low-discrepancy uniforms into Gaussian draws — Box-Muller would
-   destroy the Sobol sequence's equidistribution. *)
+   destroy the Sobol sequence's equidistribution. The coefficient tables
+   are module-level so a call allocates nothing. *)
+let nq_a =
+  [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
+     1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
+
+let nq_b =
+  [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
+     6.680131188771972e+01; -1.328068155288572e+01 |]
+
+let nq_c =
+  [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
+     -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
+
+let nq_d =
+  [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
+     3.754408661907416e+00 |]
+
+let nq_tail q =
+  let c = nq_c and d = nq_d in
+  let num =
+    ((((((c.(0) *. q) +. c.(1)) *. q) +. c.(2)) *. q +. c.(3)) *. q +. c.(4))
+    *. q
+    +. c.(5)
+  in
+  num /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.0)
+
 let normal_quantile p =
   if not (p > 0.0 && p < 1.0) then
     invalid_arg "Stats.normal_quantile: p must be in (0, 1)";
-  let a =
-    [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
-       1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
-  and b =
-    [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
-       6.680131188771972e+01; -1.328068155288572e+01 |]
-  and c =
-    [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
-       -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
-  and d =
-    [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
-       3.754408661907416e+00 |]
-  in
-  let tail q =
-    let num =
-      ((((((c.(0) *. q) +. c.(1)) *. q) +. c.(2)) *. q +. c.(3)) *. q +. c.(4))
-      *. q
-      +. c.(5)
-    in
-    num /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.0)
-  in
+  let a = nq_a and b = nq_b in
   let p_low = 0.02425 in
-  if p < p_low then tail (sqrt (-2.0 *. log p))
+  if p < p_low then nq_tail (sqrt (-2.0 *. log p))
   else if p <= 1.0 -. p_low then begin
     let q = p -. 0.5 in
     let r = q *. q in
@@ -175,4 +181,4 @@ let normal_quantile p =
         *. r
        +. 1.0)
   end
-  else -.tail (sqrt (-2.0 *. log (1.0 -. p)))
+  else -.nq_tail (sqrt (-2.0 *. log (1.0 -. p)))

@@ -133,12 +133,18 @@ let vdd_symbol = 0
 
 (* The naive lifts, each evaluating its own chi', locus and leakage
    exponential. *)
+(* chi' vdd of two positive boxes, its outward-rounded lower end clamped
+   at 0 so a supply box starting a few ulps above 0 has a root. *)
+let chi_vdd chi_prime vdd =
+  let cv = Iv.mul chi_prime vdd in
+  if cv.Iv.lo < 0.0 then Iv.make 0.0 cv.Iv.hi else cv
+
 let naive (t : Pl.problem) ~f ~vdd =
   let chi_prime = Pl.chi_prime_iv t ~f in
   if vdd.Iv.lo <= 0.0 then invalid_arg "naive: vdd box <= 0";
   let vth =
     Iv.sub vdd
-      (Iv.pow_scalar (Iv.mul chi_prime vdd) (1.0 /. t.tech.alpha))
+      (Iv.pow_scalar (chi_vdd chi_prime vdd) (1.0 /. t.tech.alpha))
   in
   let p = t.params in
   let pstat =
@@ -155,7 +161,7 @@ let dptot (t : Pl.problem) ~f ~vdd =
   let p = t.params in
   let n_ut = Device.Technology.n_ut t.tech in
   let chi_prime = Pl.chi_prime_iv t ~f in
-  let g = Iv.pow_scalar (Iv.mul chi_prime vdd) (1.0 /. t.tech.alpha) in
+  let g = Iv.pow_scalar (chi_vdd chi_prime vdd) (1.0 /. t.tech.alpha) in
   let g' = Iv.scale (1.0 /. t.tech.alpha) (Iv.div g vdd) in
   let vth = Iv.sub vdd g in
   let vth' = Iv.sub Iv.one g' in

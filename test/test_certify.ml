@@ -102,6 +102,57 @@ let test_bracket_contains_oracle () =
         P.table1)
     flavors
 
+(* Supply boxes whose lower end is a few ulps above zero: the product
+   chi' vdd rounds outward below zero there, and the enclosures must
+   still be returned, and sound. Every sampled point value lies inside
+   the range enclosure and not below the certified minimum, and no
+   sampled value is excluded. *)
+let test_tiny_supply_boxes () =
+  let rng = Numerics.Rng.create 20061020 in
+  List.iter
+    (fun tech ->
+      List.iter
+        (fun row ->
+          let problem =
+            Power_core.Calibration.problem_of_row tech ~f:P.frequency row
+          in
+          List.iter
+            (fun (lo, hi) ->
+              let b = Ab.box ~vdd:(Iv.make lo hi) problem in
+              let fail what v p =
+                Alcotest.failf "%s/%s [%h, %h]: Ptot(%h) = %h %s"
+                  (Device.Technology.name tech)
+                  row.P.label lo hi v p what
+              in
+              let enc = Ab.ptot_over b in
+              let cert = Ab.certify b in
+              let points =
+                lo :: hi
+                :: List.init 50 (fun _ ->
+                       Float.exp
+                         (Float.log lo
+                         +. Numerics.Rng.float rng (Float.log hi -. Float.log lo)))
+              in
+              List.iter
+                (fun v ->
+                  let v = Float.min hi (Float.max lo v) in
+                  let p = N.ptot_on_constraint problem v in
+                  if not (Iv.contains enc p) then
+                    fail ("outside " ^ Iv.to_string enc) v p;
+                  if p < cert.Ab.ptot.Iv.lo then
+                    fail ("below certified " ^ Iv.to_string cert.Ab.ptot) v p;
+                  if Ab.excludes b ~threshold:p then fail "excluded" v p)
+                points)
+            [
+              (0x1p-1074, 0.5);
+              (0x1p-1074, 3.0);
+              (1e-310, 0.3);
+              (Float.min_float, 1e-3);
+              (0x1p-1074, Float.min_float *. 4.0);
+            ])
+        P.table1)
+    flavors
+
 (* Dse.prune over a 1k-candidate slicing of the supply axis: at least
    half the boxes must go, and the box holding the grid-oracle optimum
    must always survive. *)
@@ -259,14 +310,13 @@ let sub_boxes rng (p : Pl.problem) =
 let outcome f =
   match f () with v -> Ok v | exception Invalid_argument e -> Error e
 
-(* Production [f] and reference [g] on one input: equal results, or both
-   raising — boxes too close to zero make both raise (an outward-rounded
-   chi' vdd reaches below zero). Returns the agreed result, if any. *)
+(* Production [f] and reference [g] on one input: equal results, bit for
+   bit. Neither may raise: every sub-box is strictly positive, including
+   those starting a few ulps above zero. Returns the agreed result. *)
 let agree ~fail what show same f g =
   let show = function Ok v -> show v | Error e -> "Invalid_argument " ^ e in
   match (outcome f, outcome g) with
-  | Ok a, Ok o when same a o -> Some a
-  | Error _, Error _ -> None
+  | Ok a, Ok o when same a o -> a
   | a, o ->
     fail (Printf.sprintf "%s %s vs reference %s" what (show a) (show o))
 
@@ -302,23 +352,21 @@ let test_sub_boxes () =
                 (agree ~fail "affine_over" show_opt same_opt
                    (fun () -> Ab.affine_over b)
                    (fun () -> O.affine_over b));
-              match
+              let enc =
                 agree ~fail "ptot_over" Iv.to_string same_iv
                   (fun () -> Ab.ptot_over b)
                   (fun () -> O.ptot_over b)
-              with
-              | None -> ()
-              | Some enc ->
-                List.iter
-                  (fun scale ->
-                    let threshold = enc.Iv.hi *. scale in
-                    ignore
-                      (agree ~fail
-                         (Printf.sprintf "excludes ~threshold:%h" threshold)
-                         string_of_bool Bool.equal
-                         (fun () -> Ab.excludes b ~threshold)
-                         (fun () -> O.excludes b ~threshold)))
-                  [ 0.5; 0.99; 1.0; 1.01; 2.0; Numerics.Rng.float rng 3.0 ])
+              in
+              List.iter
+                (fun scale ->
+                  let threshold = enc.Iv.hi *. scale in
+                  ignore
+                    (agree ~fail
+                       (Printf.sprintf "excludes ~threshold:%h" threshold)
+                       string_of_bool Bool.equal
+                       (fun () -> Ab.excludes b ~threshold)
+                       (fun () -> O.excludes b ~threshold)))
+                [ 0.5; 0.99; 1.0; 1.01; 2.0; Numerics.Rng.float rng 3.0 ])
             (sub_boxes rng p))
         f_boxes)
     problems
@@ -452,6 +500,8 @@ let () =
             test_bracket_contains_oracle;
           Alcotest.test_case "Eq. 13 interval lift encloses scalar form"
             `Quick test_eq13_enclosure;
+          Alcotest.test_case "tiny-supply boxes enclose points" `Quick
+            test_tiny_supply_boxes;
         ] );
       ( "dse",
         [

@@ -194,6 +194,43 @@ let test_sobol_determinism () =
         (Float.abs (p.(0) -. expected) < 1e-9))
     [ 0.5; 0.75; 0.25; 0.375; 0.875 ]
 
+(* The chunk cursor against random access: from random starts (small,
+   mid-range and near 2^31) over random lengths, in every dimension count,
+   with and without scramble, every written point equals [point_into]'s
+   bit for bit. *)
+let test_sobol_cursor () =
+  let rng = Rng.create 46 in
+  for dims = 1 to Numerics.Sobol.max_dims do
+    List.iter
+      (fun scramble ->
+        let s = Numerics.Sobol.create ?scramble ~dims () in
+        let got = Array.make dims 0.0 and want = Array.make dims 0.0 in
+        for case = 0 to 11 do
+          let start =
+            match case mod 3 with
+            | 0 -> Rng.int rng 64
+            | 1 -> Rng.int rng 1_000_000
+            | _ -> (1 lsl 31) - 1 - Rng.int rng 5000
+          in
+          let len = 1 + Rng.int rng 3000 in
+          let cursor = Numerics.Sobol.cursor s start in
+          for n = start to start + len - 1 do
+            Numerics.Sobol.next_into cursor got;
+            Numerics.Sobol.point_into s n want;
+            for d = 0 to dims - 1 do
+              if
+                not
+                  (Int64.equal (Int64.bits_of_float got.(d))
+                     (Int64.bits_of_float want.(d)))
+              then
+                Alcotest.failf "dims %d start %d point %d dim %d: %h vs %h"
+                  dims start n d got.(d) want.(d)
+            done
+          done
+        done)
+      [ None; Some (Rng.create (100 + dims)) ]
+  done
+
 let star_discrepancy_1d points =
   let xs = Array.copy points in
   Array.sort compare xs;
@@ -362,6 +399,137 @@ let test_yield_vs_monte_carlo () =
   Alcotest.(check bool) "vdd mean" true
     (rel ym.vdd.summary.mean mc.vdd_stats.mean < 1e-6)
 
+(* Every Table 1 row x flavor: the 39 problems the yield-sobol workload
+   plays. *)
+let table1_problems () =
+  List.concat_map
+    (fun tech ->
+      List.map
+        (fun row ->
+          Power_core.Calibration.problem_of_row tech ~f:P.frequency row)
+        P.table1)
+    Device.Technology.all
+
+(* The hoisted objective against the record path: [total_on_locus] equals
+   [(at t ~vdd).total] bit for bit, non-finite totals included, and
+   [objective] is that total with [infinity] for vdd <= 0 and for every
+   non-finite total. The seeded and Table 1 problems are joined by ones
+   whose leakage overflows (a huge chi') and, with Io = 0, turns NaN. *)
+let test_objective_bits () =
+  let module Pl = Power_core.Power_law in
+  let rng = Rng.create 47 in
+  let base = base_problem () in
+  let overflow = { base with Pl.chi_prime = 1e6 } in
+  let nan =
+    {
+      overflow with
+      Pl.params = { base.Pl.params with Power_core.Arch_params.io_cell = 0.0 };
+    }
+  in
+  let problems =
+    (overflow :: nan :: table1_problems ())
+    @ Oracles.Problems.seeded ~seed:47 ~n:20 Device.Technology.all
+  in
+  let non_finite = ref 0 in
+  List.iter
+    (fun (t : Pl.problem) ->
+      let c = Pl.coeffs t in
+      let f = Power_core.Numerical_opt.ptot_on_constraint t in
+      let vdds =
+        [ 0.0; -0.0; -1.0; Float.min_float; 1e-300; 0.05; 3.0; 1e150; 1e300 ]
+        @ List.init 200 (fun _ -> Float.exp (Rng.float rng 30.0 -. 15.0))
+      in
+      List.iter
+        (fun vdd ->
+          let expected =
+            if vdd <= 0.0 then infinity
+            else begin
+              let total = (Pl.at t ~vdd).total in
+              check_bits
+                (Printf.sprintf "total_on_locus %h" vdd)
+                (Pl.total_on_locus c vdd) total;
+              if Float.is_finite total then total
+              else begin
+                incr non_finite;
+                infinity
+              end
+            end
+          in
+          check_bits (Printf.sprintf "objective %h" vdd) (f vdd) expected;
+          check_bits
+            (Printf.sprintf "Power_law.objective %h" vdd)
+            (Pl.objective c vdd) expected)
+        vdds)
+    problems;
+  Alcotest.(check bool) "non-finite totals exercised" true (!non_finite > 0);
+  let nan_total = (Pl.at nan ~vdd:1.0).total in
+  Alcotest.(check bool) "a NaN total exercised" true (Float.is_nan nan_total)
+
+(* The one-pass engine against the reference chunk body (factor arrays,
+   per-die problem records, [solve_chain_into]), compared through
+   [Marshal]: both samplers at every pool size 1/2/4 over chunk shapes
+   with a partial last chunk and chain, [chain = chunk], a single die and
+   the default chunk; then all 39 Table 1 x flavor problems. The counter
+   fingerprints are equal too. *)
+let test_yield_vs_reference () =
+  let check ~name ~dies ~chunk ~chain sampler problem =
+    let run f =
+      f ?spread:None ?dies:(Some dies) ?chunk:(Some chunk) ?chain:(Some chain)
+        ?sampler:(Some sampler) ?specs:None ~rng:(Rng.create 2006) problem
+    in
+    let r = run V.yield_mc and o = run Oracles.Variation.yield_mc in
+    if Marshal.to_string r [] <> Marshal.to_string o [] then
+      Alcotest.failf "%s: yield_mc differs from the reference" name
+  in
+  let sampler_name = function `Pseudo -> "pseudo" | `Sobol -> "sobol" in
+  let problem = base_problem () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.set_default_jobs 2)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Parallel.Pool.set_default_jobs jobs;
+          List.iter
+            (fun sampler ->
+              List.iter
+                (fun (dies, chunk, chain) ->
+                  check
+                    ~name:
+                      (Printf.sprintf "%s -j %d dies %d chunk %d chain %d"
+                         (sampler_name sampler) jobs dies chunk chain)
+                    ~dies ~chunk ~chain sampler problem)
+                [
+                  (1000, 256, 64);
+                  (513, 128, 128);
+                  (300, 64, 16);
+                  (1, 64, 64);
+                  (4196, 4096, 64);
+                ])
+            [ `Pseudo; `Sobol ])
+        [ 1; 2; 4 ];
+      List.iteri
+        (fun i p ->
+          List.iter
+            (fun sampler ->
+              check
+                ~name:(Printf.sprintf "problem %d %s" i (sampler_name sampler))
+                ~dies:300 ~chunk:128 ~chain:32 sampler p)
+            [ `Pseudo; `Sobol ])
+        (table1_problems ());
+      let counters f =
+        Obs.set_enabled true;
+        Obs.reset ();
+        ignore
+          (f ?spread:None ?dies:(Some 3000) ?chunk:(Some 1024) ?chain:(Some 64)
+             ?sampler:(Some `Sobol) ?specs:None ~rng:(Rng.create 7) problem);
+        let c = Obs.counters ~normalize:true () in
+        Obs.set_enabled false;
+        Obs.reset ();
+        c
+      in
+      Alcotest.(check (list (pair string int)))
+        "counters" (counters Oracles.Variation.yield_mc) (counters V.yield_mc))
+
 let test_yield_misc_contracts () =
   let problem = base_problem () in
   let rng = Rng.create 3 in
@@ -408,6 +576,7 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_sobol_determinism;
           Alcotest.test_case "star discrepancy" `Quick test_sobol_discrepancy;
+          Alcotest.test_case "cursor = point_into" `Quick test_sobol_cursor;
           Alcotest.test_case "qmc beats mc at N/4" `Quick
             test_qmc_beats_mc_quantile;
         ] );
@@ -418,5 +587,9 @@ let () =
           Alcotest.test_case "differential oracle vs monte_carlo" `Quick
             test_yield_vs_monte_carlo;
           Alcotest.test_case "contracts" `Quick test_yield_misc_contracts;
+          Alcotest.test_case "objective = Power_law.at bits" `Quick
+            test_objective_bits;
+          Alcotest.test_case "yield_mc = reference chunk body" `Quick
+            test_yield_vs_reference;
         ] );
     ]
