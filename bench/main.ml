@@ -275,45 +275,22 @@ let bench_certify_catalog =
 
 (* A 1k-candidate design space over LL/RCA: the clock-frequency axis cut
    into 1000 slices from 0.5x to 4x the paper's operating point, each
-   candidate spanning the full supply search range. Finding the
-   lowest-power design means certifying every box — unless the cheap
-   certified lower bound can discard the slices that provably cannot
-   beat the incumbent. Built once; the benches below share it. *)
-let dse_candidates =
+   candidate spanning the full supply search range, and every box
+   certified by the full branch-and-bound. Built once. *)
+let dse_boxes =
   let f_nom = calibrated_problem.Power_core.Power_law.f in
   let lo = 0.5 *. f_nom and hi = 4.0 *. f_nom in
   let n = 1000 in
   let step = (hi -. lo) /. float_of_int n in
   List.init n (fun i ->
       let a = lo +. (float_of_int i *. step) in
-      {
-        Power_core.Dse.label = Printf.sprintf "slice-%03d" i;
-        box =
-          Power_core.Absint.box
-            ~f:(Numerics.Interval.make a (a +. step))
-            calibrated_problem;
-      })
-
-let bench_dse_prune =
-  slow "analysis:dse-prune" (fun () ->
-      ignore (Power_core.Dse.prune dse_candidates))
-
-(* A/B behind the pruner's reason to exist: running the full
-   branch-and-bound certification on every candidate box versus pruning
-   first with the coarse certified lower bound and certifying only the
-   survivors. Both arms end with a certificate for every box that could
-   still hold the lowest-power design. *)
-let certify_slice (c : Power_core.Dse.candidate) =
-  ignore (Power_core.Absint.certify c.box)
+      Power_core.Absint.box
+        ~f:(Numerics.Interval.make a (a +. step))
+        calibrated_problem)
 
 let bench_diag_dse_exhaustive =
   slow "diag:dse-exhaustive-1k-slices" (fun () ->
-      List.iter certify_slice dse_candidates)
-
-let bench_diag_dse_pruned =
-  slow "diag:dse-prune-then-certify-1k-slices" (fun () ->
-      let result = Power_core.Dse.prune dse_candidates in
-      List.iter certify_slice result.Power_core.Dse.kept)
+      List.iter (fun b -> ignore (Power_core.Absint.certify b)) dse_boxes)
 
 (* Certifier A/B: the production branch-and-bound against the reference
    one (test/oracles: list-based affine forms, every enclosure
@@ -496,9 +473,7 @@ let benchmarks =
     bench_percentile_sort;
     bench_percentile_select;
     bench_certify_catalog;
-    bench_dse_prune;
     bench_diag_dse_exhaustive;
-    bench_diag_dse_pruned;
     bench_diag_certify_explorer_oracle;
     bench_diag_certify_explorer;
     bench_dse_pareto;
@@ -822,7 +797,8 @@ let parse_baseline path =
    the timings they flag an algorithmic regression even on a noisy host.
    Exits non-zero otherwise, so the [@bench-compare] alias can act as a
    perf tripwire. Renamed/retired counters simply stop being shared and
-   drop out of the comparison. *)
+   drop out of the comparison; baseline rows that no registered benchmark
+   produces any more are listed as RETIRED, for the reader only. *)
 let regression_threshold = 1.25
 let counter_threshold = 1.10
 let counter_slack = 8
@@ -856,6 +832,16 @@ let compare_counters ~base_metrics metrics =
     metrics;
   (!compared, List.rev !regressions)
 
+let retired_rows ~baseline ~base_metrics =
+  let registered name =
+    String.starts_with ~prefix:"serve:latency-p50-p99" name
+    || List.exists (fun b -> Test.name b.test = name) benchmarks
+  in
+  List.sort_uniq String.compare
+    (List.filter
+       (fun name -> not (registered name))
+       (List.map fst baseline @ List.map fst base_metrics))
+
 let compare_against ~path ~host ~metrics results =
   let baseline, base_metrics, base_ref = parse_baseline path in
   Printf.printf "\n=== Regression check vs %s (threshold %+.0f%%) ===\n\n" path
@@ -884,6 +870,9 @@ let compare_against ~path ~host ~metrics results =
     Printf.printf "\nFAIL: no benchmark in common with %s\n" path;
     exit 1
   end;
+  List.iter
+    (Printf.printf "RETIRED: %s\n")
+    (retired_rows ~baseline ~base_metrics);
   let counters_compared, counter_regressions =
     compare_counters ~base_metrics metrics
   in

@@ -456,66 +456,49 @@ let explore_cmd =
          & info [ "no-prune" ]
              ~doc:"Solve every candidate exactly (the differential oracle).")
   in
-  let catalog =
-    Arg.(value & flag
-         & info [ "catalog" ]
-             ~doc:
-               "Legacy mode: characterise the 17 catalog architectures from \
-                scratch instead of exploring the generator space.")
-  in
   let cycles =
     Arg.(value & opt (some int) None
          & info [ "cycles" ] ~docv:"N"
              ~doc:"Simulated data cycles per characterisation.")
   in
   let run jobs obs bits families max_latency max_area radices stages copies
-      signed fmults tech no_prune catalog cycles store_path no_store =
+      signed fmults tech no_prune cycles store_path no_store =
     set_jobs jobs;
     with_obs obs @@ fun () ->
-    if catalog then
-      print
-        (Report.Studies.render_exploration
-           ~cycles:(Option.value ~default:100 cycles)
-           ~f:Power_core.Paper_data.frequency ())
-    else begin
-      let axes =
-        {
-          Power_core.Explorer.bits;
-          families;
-          radices;
-          signednesses =
-            [ (if signed then Multipliers.Booth.Signed
-               else Multipliers.Booth.Unsigned) ];
-          stages;
-          copies;
-          fmults;
-          techs =
-            (match tech with
-            | None -> Device.Technology.all
-            | Some t -> [ t ]);
-        }
-      in
-      print (Report.Dse_report.render_axes axes ^ "\n\n");
-      let store = open_warm ~no_store store_path in
-      Fun.protect ~finally:(fun () -> Option.iter Store.close store)
-      @@ fun () ->
-      let result =
-        Power_core.Explorer.explore ~prune:(not no_prune) ?cycles ?store
-          ?max_latency ?max_area axes
-      in
-      print (Report.Dse_report.render result ^ "\n")
-    end
+    let axes =
+      {
+        Power_core.Explorer.bits;
+        families;
+        radices;
+        signednesses =
+          [ (if signed then Multipliers.Booth.Signed
+             else Multipliers.Booth.Unsigned) ];
+        stages;
+        copies;
+        fmults;
+        techs =
+          (match tech with None -> Device.Technology.all | Some t -> [ t ]);
+      }
+    in
+    print (Report.Dse_report.render_axes axes ^ "\n\n");
+    let store = open_warm ~no_store store_path in
+    Fun.protect ~finally:(fun () -> Option.iter Store.close store)
+    @@ fun () ->
+    let result =
+      Power_core.Explorer.explore ~prune:(not no_prune) ?cycles ?store
+        ?max_latency ?max_area axes
+    in
+    print (Report.Dse_report.render result ^ "\n")
   in
   let doc =
     "Pruned Pareto design-space exploration over the multiplier generators \
      (family x radix x signedness x depth x parallelism x flavor x \
-     frequency), warm-started from the on-disk store; $(b,--catalog) keeps \
-     the legacy 17-architecture study."
+     frequency), warm-started from the on-disk store."
   in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(const run $ jobs_arg $ obs_arg $ bits $ families $ max_latency
           $ max_area $ radices $ stages $ copies $ signed $ fmults $ tech
-          $ no_prune $ catalog $ cycles $ store_path_arg $ no_store_arg)
+          $ no_prune $ cycles $ store_path_arg $ no_store_arg)
 
 let export_cmd =
   let arch =

@@ -257,50 +257,9 @@ let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : box) =
   in
   { ptot; vdd_bracket; boxes = !boxes; splits = !splits; prunes = !prunes }
 
-let lower_bound ?tol ?(max_splits = 64) (b : box) =
-  let tol =
-    match tol with
-    | Some t -> t
-    | None -> Float.max 1e-3 (Iv.width b.vdd /. 16.0)
-  in
-  (certify ~tol ~max_splits b).ptot.Iv.lo
-
-(* Early-exit incumbent test: could min Ptot over the box be <=
-   [threshold]? [false] is a proof — every region of the supply axis got
-   a certified lower bound above the threshold. [true] is conservative:
-   a region certifiably at-or-below the threshold ([enc.hi <=
-   threshold]), or one that stayed inconclusive at the resolution/budget
-   floor. Much cheaper than comparing a tight {!lower_bound}: prunable
-   boxes resolve at shallow depth, surviving boxes return at the first
-   inconclusive leaf instead of refining the whole axis. *)
-let beats ?(tol = 1e-3) ?(max_splits = 64) (b : box) ~threshold =
-  let m = model b in
-  let splits = ref 0 in
-  let rec go = function
-    | [] -> false
-    | vdd :: rest ->
-      Obs.Counter.incr c_boxes;
-      let enc = range m vdd in
-      if enc.Iv.lo > threshold then (
-        Obs.Counter.incr c_prunes;
-        go rest)
-      else if
-        enc.Iv.hi <= threshold
-        || Iv.width vdd <= tol
-        || !splits >= max_splits
-      then true
-      else
-        match Iv.split vdd with
-        | None -> true
-        | Some (l, r) ->
-          incr splits;
-          Obs.Counter.incr c_splits;
-          go (l :: r :: rest)
-  in
-  go [ b.vdd ]
-
 (* One-sided exclusion test: a certified "min Ptot over the box is
-   strictly above [threshold]". Two structural cheapenings over [beats]:
+   strictly above [threshold]". Two structural cheapenings over a
+   two-sided [certify]:
 
    - pdyn clip. Pdyn = K vdd^2 with K = a N Cavg f.lo is a monotone lower
      envelope of Ptot, so any vdd with K vdd^2 > threshold cannot hold a

@@ -61,29 +61,12 @@ val certify : ?tol:float -> ?max_splits:int -> box -> certificate
     tightness — never soundness — when exhausted. Counters [cert.boxes],
     [cert.splits], [cert.prunes]. *)
 
-val lower_bound : ?tol:float -> ?max_splits:int -> box -> float
-(** Cheap certified lower bound of [min Ptot] over the box — a shallow
-    {!certify} (default [max_splits] 64; [tol] defaults to a coarse
-    [width/16]-scaled tolerance, pass a tighter one when the candidate
-    boxes are wide). *)
-
-val beats : ?tol:float -> ?max_splits:int -> box -> threshold:float -> bool
-(** [beats b ~threshold] — could [min Ptot] over [b] be at or below
-    [threshold]? [false] is a certified "no" (every supply sub-range's
-    lower bound exceeds the threshold); [true] is conservative. The
-    early-exit admissible bound {!Dse.prune} discards candidates with:
-    prunable boxes resolve in a few shallow evaluations, survivors stop
-    at the first inconclusive leaf. [tol] (default [1e-3]) is the
-    refinement floor, [max_splits] (default 64) the work budget —
-    exhausting either returns [true], never an unsound [false]. *)
-
 val excludes :
   ?tol:float -> ?max_splits:int -> box -> threshold:float -> bool
 (** [excludes b ~threshold] — is [min Ptot] over [b] certifiably {e strictly
     above} [threshold]? [true] is the proof; [false] is conservative (an
-    inconclusive leaf at the [tol]/[max_splits] floor). The dual of
-    {!beats}, specialised for the explorer's incumbent pruning: a
-    one-shot pdyn-based clip discards the high-supply tail (Pdyn =
+    inconclusive leaf at the [tol]/[max_splits] floor). The explorer's
+    certified incumbent pruner: a one-shot pdyn-based clip discards the high-supply tail (Pdyn =
     K·vdd² already exceeds the threshold there) before a lower-bound-only
     branch-and-bound works the remaining prefix, skipping the achieved
     upper values, derivative enclosures and endpoint refinements that

@@ -571,8 +571,7 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
                 if
                   Float.is_finite threshold
                   && excludes_gate ~rank:c.rank ~threshold
-                  && Dse.prune_against (Absint.box c.problem)
-                       ~incumbent:threshold
+                  && Absint.excludes (Absint.box c.problem) ~threshold
                 then begin
                   Obs.Counter.incr c_cert_pruned;
                   (* The proof is strict (min Ptot > threshold), so the

@@ -97,65 +97,11 @@ let optimum_warm ?vdd_lo ?vdd_hi ~from:(from : point) problem =
 
 let c_store_hits = Obs.Counter.make "opt.store_hits"
 let c_store_misses = Obs.Counter.make "opt.store_misses"
-let c_hint_hits = Obs.Counter.make "opt.hint_hits"
-
-let optimum_hinted ?vdd_lo ?vdd_hi ~hint problem =
-  match hint with
-  | Some from -> optimum_warm ?vdd_lo ?vdd_hi ~from problem
-  | None -> optimum ?vdd_lo ?vdd_hi problem
 
 (* Keys for the solver namespace carry the search bracket too: a solve is
    only replayable when the bracket — which shapes the result — matches. *)
 let solve_key ~vdd_lo ~vdd_hi problem =
   Printf.sprintf "%s|b:%h %h" (Warm.problem_key problem) vdd_lo vdd_hi
-
-(* The frequency segment of a stored key: "...|f:<hex>|x:...". *)
-let key_frequency key =
-  match String.index_opt key '|' with
-  | None -> None
-  | Some _ -> (
-      let marker = "|f:" in
-      let rec find i =
-        if i + String.length marker > String.length key then None
-        else if String.sub key i (String.length marker) = marker then
-          Some (i + String.length marker)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some start ->
-          let stop =
-            match String.index_from_opt key start '|' with
-            | Some j -> j
-            | None -> String.length key
-          in
-          float_of_string_opt (String.sub key start (stop - start)))
-
-let warm_hint ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ~store
-    (problem : Power_law.problem) =
-  let exact = solve_key ~vdd_lo ~vdd_hi problem in
-  match Option.bind (Store.find store ~ns:Warm.ns_solve exact) Warm.decode_point
-  with
-  | Some p ->
-      Obs.Counter.incr c_hint_hits;
-      Some p
-  | None ->
-      (* Nearest stored neighbour of the same design at another f. *)
-      let prefix = Warm.design_key problem ^ "|f:" in
-      let best = ref None in
-      Store.iter store ~ns:Warm.ns_solve (fun k v ->
-          if String.starts_with ~prefix k then
-            match (key_frequency k, Warm.decode_point v) with
-            | Some f, Some p -> (
-                let d = Float.abs (f -. problem.f) in
-                match !best with
-                | Some (d0, _) when d0 <= d -> ()
-                | _ -> best := Some (d, p))
-            | _ -> ());
-      (match !best with
-      | Some _ -> Obs.Counter.incr c_hint_hits
-      | None -> ());
-      Option.map snd !best
 
 let optimum_stored ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
     ~store problem =
@@ -171,57 +117,13 @@ let optimum_stored ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
       Store.put store ~ns:Warm.ns_solve key (Warm.encode_point p);
       p
 
-(* Continuation over a family of related problems: fixed-size contiguous
-   chunks are mapped through the domain pool; within a chunk each solve is
-   warm-started from its predecessor's optimum, the chunk head from the
-   Eq. 13 seed (or the grid fallback). The chunk size is a constant — NOT
-   derived from the pool size — so the warm chains, and with them every
-   floating-point bit of the result, are identical at any [-j]. *)
-let continuation_chunk = 16
-
-(* One warm chain on the calling domain: the head solves cold (Eq. 13 seed
-   or grid fallback), every successor warm-starts from its predecessor's
-   optimum. This is exactly the chunk body of [optima_continued]; the serve
-   layer re-batches chunks from several concurrent requests through one
-   pool dispatch by calling it directly, which is why results there are
-   bitwise-identical to a one-shot [optima_continued] per request. *)
-let solve_chain ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) problems
-    =
-  let prev = ref None in
-  List.map
-    (fun problem ->
-      let pt =
-        match !prev with
-        | None -> optimum ~vdd_lo ~vdd_hi problem
-        | Some p -> optimum_warm ~vdd_lo ~vdd_hi ~from:p problem
-      in
-      prev := Some pt;
-      pt)
-    problems
-
-let optima_continued ?pool ?(vdd_lo = default_vdd_lo)
-    ?(vdd_hi = default_vdd_hi) ?(chunk = continuation_chunk) ~problem_of items
-    =
-  if chunk < 1 then invalid_arg "Numerical_opt.optima_continued: chunk < 1";
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  let nchunks = (n + chunk - 1) / chunk in
-  Obs.Span.with_ ~name:"opt.continued" (fun () ->
-      List.concat
-        (Parallel.Pool.map ?pool
-           (fun c ->
-             let start = c * chunk in
-             let stop = Stdlib.min n (start + chunk) in
-             solve_chain ~vdd_lo ~vdd_hi
-               (List.init (stop - start) (fun k -> problem_of arr.(start + k))))
-           (List.init nchunks Fun.id)))
-
-(* Array-flavoured warm chain for the streaming Monte-Carlo engine: one
-   contiguous run of related problems solved sequentially on the calling
-   domain, each solve warm-started from its predecessor and the results
-   handed to [write] instead of consed into a list. [head] warm-starts the
-   first solve too — the yield engine passes the nominal optimum, which
-   keeps per-die solves off the Eq. 13 seeding path entirely (the seed's
+(* The one warm-chain loop: a contiguous run of related problems solved
+   sequentially on the calling domain, each solve warm-started from its
+   predecessor and handed to [write] as soon as it is available. Without
+   [head] the first solve is cold (Eq. 13 seed or grid fallback) — the
+   chunk body of [optima_continued]; with it the first solve warm-starts
+   too, as the per-die chains of the reference yield engine do from the
+   nominal optimum (keeping them off the Eq. 13 seeding path, whose
    per-alpha linearization memo would otherwise grow without bound under
    continuously varying alpha). *)
 let solve_chain_into ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
@@ -237,6 +139,34 @@ let solve_chain_into ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
     prev := Some pt;
     write i pt
   done
+
+(* Continuation over a family of related problems: fixed-size contiguous
+   chunks, each one warm chain whose head solves cold (Eq. 13 seed or the
+   grid fallback). The chunk size is a constant — NOT derived from the
+   pool size — so the warm chains, and with them every floating-point bit
+   of the result, are identical at any [-j]. *)
+let continuation_chunk = 16
+
+let continuation_chains ?vdd_lo ?vdd_hi ~problem_of items =
+  let arr = Array.of_list items in
+  let n = Array.length arr in
+  List.init ((n + continuation_chunk - 1) / continuation_chunk) (fun c ->
+      let start = c * continuation_chunk in
+      fun () ->
+        let acc = ref [] in
+        solve_chain_into ?vdd_lo ?vdd_hi
+          ~problem_of:(fun k -> problem_of arr.(start + k))
+          ~n:(Stdlib.min continuation_chunk (n - start))
+          ~write:(fun _ pt -> acc := pt :: !acc)
+          ();
+        List.rev !acc)
+
+let optima_continued ?pool ?vdd_lo ?vdd_hi ~problem_of items =
+  Obs.Span.with_ ~name:"opt.continued" (fun () ->
+      List.concat
+        (Parallel.Pool.map ?pool
+           (fun chain -> chain ())
+           (continuation_chains ?vdd_lo ?vdd_hi ~problem_of items)))
 
 let optimum_grid2 ?(vdd_range = Power_law.vdd_search_range)
     ?(vth_range = (-0.2, 0.8)) ?(samples = 400) problem =

@@ -65,22 +65,6 @@ val warm_solve :
     [warm_solve ~from:from.vdd (ptot_on_constraint problem)] followed by
     {!Power_law.at} at the minimiser. *)
 
-val optimum_hinted :
-  ?vdd_lo:float -> ?vdd_hi:float -> hint:point option ->
-  Power_law.problem -> point
-(** Hint path: [Some from] seeds via {!optimum_warm}, [None] solves cold.
-    Hinted results agree with the grid oracle to 1e-6 relative
-    (property-tested, like the Eq. 13 seeding of PR 5) but are {e not}
-    bitwise-equal to a cold solve — bitwise-critical paths (explorer
-    fronts, serve replies) must use {!optimum_stored} instead. *)
-
-val warm_hint :
-  ?vdd_lo:float -> ?vdd_hi:float -> store:Store.t ->
-  Power_law.problem -> point option
-(** A stored optimum usable as an {!optimum_warm} seed: the exact problem
-    key when present, else the stored solve of the same design at the
-    nearest frequency. [None] when the store knows nothing related. *)
-
 val optimum_stored :
   ?vdd_lo:float -> ?vdd_hi:float -> store:Store.t ->
   Power_law.problem -> point
@@ -88,39 +72,6 @@ val optimum_stored :
     (the solver is deterministic, so they equal what a cold solve would
     produce); a miss solves via {!optimum} and persists the result.
     Counted by [opt.store_hits] / [opt.store_misses]. *)
-
-val continuation_chunk : int
-(** The fixed chunk length (16) {!optima_continued} cuts item lists into.
-    Exposed so the serve layer can re-create the exact same chunking when
-    it coalesces several requests into one pool dispatch. *)
-
-val solve_chain :
-  ?vdd_lo:float -> ?vdd_hi:float -> Power_law.problem list -> point list
-(** One warm-start continuation chain, entirely on the calling domain: the
-    head solves cold via {!optimum}, every successor via {!optimum_warm}
-    from its predecessor. [optima_continued] is exactly [solve_chain]
-    applied to each fixed-size chunk through the pool; callers that own
-    their parallel decomposition (the serve batcher) use this directly. *)
-
-val optima_continued :
-  ?pool:Parallel.Pool.t ->
-  ?vdd_lo:float ->
-  ?vdd_hi:float ->
-  ?chunk:int ->
-  problem_of:('a -> Power_law.problem) ->
-  'a list ->
-  point list
-(** Continuation solve of a family of related problems (a Vdd or frequency
-    sweep, a technology ladder, Monte-Carlo dies): the items are cut into
-    contiguous chunks of [chunk] (default {!continuation_chunk}) mapped
-    through {!Parallel.Pool} ([pool] defaults to the shared process-wide
-    pool), and inside each chunk every solve is warm-started from its
-    predecessor's optimum ({!optimum_warm}); chunk heads solve cold via
-    {!optimum}. Results are returned in item order. The chunk size is a
-    constant independent of the pool size, so the warm chains — and every
-    floating-point bit of the result — are identical at any [-j].
-    [problem_of] must be pure (it may run on any pool domain).
-    @raise Invalid_argument if [chunk < 1]. *)
 
 val solve_chain_into :
   ?vdd_lo:float ->
@@ -137,11 +88,43 @@ val solve_chain_into :
     optimum ({!optimum_warm}), and solve 0 seeds from [head] when given
     (else it solves cold via {!optimum}). Each result is passed to
     [write i point] as soon as it is available — nothing is retained, so
-    the caller can stream into flat arrays or sketches. Unlike
-    {!optima_continued} it does not touch the pool, letting the caller
-    own the parallel decomposition. {!Variation.yield_mc} solves its
-    dies through {!warm_solve} instead, needing no problem record per
-    die. *)
+    the caller can stream into flat arrays or sketches. It does not touch
+    the pool, letting the caller own the parallel decomposition.
+    {!Variation.yield_mc} solves its dies through {!warm_solve} instead,
+    needing no problem record per die. *)
+
+val continuation_chains :
+  ?vdd_lo:float ->
+  ?vdd_hi:float ->
+  problem_of:('a -> Power_law.problem) ->
+  'a list ->
+  (unit -> point list) list
+(** The chunk layout of a continuation family, as thunks: the items are
+    cut into contiguous chunks of a fixed length (16, independent of any
+    pool size), and each thunk solves its chunk as one
+    {!solve_chain_into} chain without [head] — a cold head, every
+    successor warm-started from its predecessor — returning the points in
+    item order. The thunks are independent of each other and may run on
+    any domain, in any order: concatenating their results in list order
+    is bitwise {!optima_continued}. The serve batcher runs them as work
+    units of its own pool dispatch. [problem_of] must be pure. *)
+
+val optima_continued :
+  ?pool:Parallel.Pool.t ->
+  ?vdd_lo:float ->
+  ?vdd_hi:float ->
+  problem_of:('a -> Power_law.problem) ->
+  'a list ->
+  point list
+(** Continuation solve of a family of related problems (a Vdd or frequency
+    sweep, a technology ladder, Monte-Carlo dies): {!Parallel.Pool.map}
+    over the {!continuation_chains} thunks ([pool] defaults to the shared
+    process-wide pool), results concatenated in item order. Inside each
+    chunk every solve is warm-started from its predecessor's optimum
+    ({!optimum_warm}); chunk heads solve cold via {!optimum}. The chunk
+    size is a constant independent of the pool size, so the warm chains —
+    and every floating-point bit of the result — are identical at any
+    [-j]. [problem_of] must be pure (it may run on any pool domain). *)
 
 val optimum_grid2 :
   ?vdd_range:float * float ->

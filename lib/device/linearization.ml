@@ -36,7 +36,6 @@ let fit_cache =
 let fit ?(lo = default_lo) ?(hi = default_hi) ?(samples = 201) ~alpha () =
   Parallel.Memo.find fit_cache (lo, hi, samples, alpha)
 
-let for_technology (tech : Technology.t) = fit ~alpha:tech.alpha ()
 let eval_exact t vdd = vdd ** (1.0 /. t.alpha)
 let eval_linear t vdd = (t.a *. vdd) +. t.b
 

@@ -24,9 +24,6 @@ val fit : ?lo:float -> ?hi:float -> ?samples:int -> alpha:float -> unit -> t
 (** Least-squares fit of [Vdd^(1/alpha)] on [\[lo, hi\]]
     (defaults: the paper's 0.3–1.0 V, 201 samples). *)
 
-val for_technology : Technology.t -> t
-(** Fit using the technology's α over the default range. *)
-
 val eval_exact : t -> float -> float
 (** [vdd ** (1 / alpha)]. *)
 

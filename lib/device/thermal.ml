@@ -1,5 +1,3 @@
-let leakage_doubling_interval = 25.0 *. Float.log 2.0
-
 let at_temperature (tech : Technology.t) ~temperature =
   let t0 = tech.temperature in
   let dt = temperature -. t0 in

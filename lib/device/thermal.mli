@@ -13,9 +13,6 @@ val at_temperature : Technology.t -> temperature:float -> Technology.t
     decade per 57 K, a typical 0.13 µm sub-threshold figure); the threshold
     falls by ≈ 1 mV/K. *)
 
-val leakage_doubling_interval : float
-(** Temperature increase that roughly doubles the off-current, K. *)
-
 type equilibrium = {
   temperature : float;  (** Converged die temperature, K. *)
   ptot : float;  (** Total power at the converged optimum, W. *)

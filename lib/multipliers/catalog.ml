@@ -120,4 +120,3 @@ let find label =
   | Some e -> e
   | None -> raise Not_found
 
-let build_all () = List.map (fun e -> e.build ()) entries

@@ -24,7 +24,5 @@ val build : ?bits:int -> string -> Spec.t
     @raise Not_found on an unknown label.
     @raise Invalid_argument for a width other than {!default_bits}. *)
 
-val build_all : unit -> Spec.t list
-
 val default_bits : int
 (** 16 — the operand width used throughout the paper. *)

@@ -42,8 +42,6 @@ let insert circuit ~stage_of_cell ~max_stage ~outputs =
     snapshot;
   Array.map (fun net -> delayed net (max_stage - stage_of_net net)) outputs
 
-let register_count circuit ~before = C.cell_count circuit - before
-
 let by_depth circuit ~stages ~outputs =
   if stages < 2 then invalid_arg "Pipeliner.by_depth: stages < 2";
   let report = Netlist.Timing.analyze circuit in

@@ -22,10 +22,6 @@ val insert :
     @raise Invalid_argument if a consumer's stage is lower than its
     producer's, or a stage exceeds [max_stage]. *)
 
-val register_count : C.t -> before:int -> int
-(** Convenience: number of cells added since [before] (a prior
-    {!C.cell_count}). *)
-
 val by_depth :
   C.t -> stages:int -> outputs:C.net array -> C.net array
 (** Stage assignment from static timing: cell stage =

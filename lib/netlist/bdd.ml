@@ -35,7 +35,6 @@ let create ?(max_nodes = 4_000_000) () =
   m
 
 let bdd_false _ = 0
-let bdd_true _ = 1
 
 let grow m =
   let capacity = Array.length m.vars in
@@ -123,7 +122,6 @@ let ite m sel then_ else_ =
   bdd_or m (bdd_and m sel then_) (bdd_and m (bdd_not m sel) else_)
 
 let equal (a : node) (b : node) = a = b
-let node_count m = m.len
 
 let size m root =
   let seen = Hashtbl.create 64 in

@@ -18,7 +18,6 @@ val create : ?max_nodes:int -> unit -> manager
 (** [max_nodes] (default 4_000_000) bounds the unique table;
     @raise Node_limit_exceeded past it. *)
 
-val bdd_true : manager -> node
 val bdd_false : manager -> node
 
 val var : manager -> int -> node
@@ -33,9 +32,6 @@ val ite : manager -> node -> node -> node -> node
 
 val equal : node -> node -> bool
 (** Functional equivalence — physical equality under hash-consing. *)
-
-val node_count : manager -> int
-(** Live unique-table size (diagnostic). *)
 
 val size : manager -> node -> int
 (** Nodes reachable from one root. *)

@@ -44,4 +44,3 @@ let fold_left f init t =
   !acc
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
-let to_array t = Array.sub t.data 0 t.len

@@ -243,119 +243,3 @@ module Yield = struct
         (spec, float_of_int !cumulative /. n))
       t.specs
 end
-
-module P2 = struct
-  (* The P-squared algorithm (Jain & Chhabra 1985): five markers tracking
-     min, q/2, q, (1+q)/2 and max quantile positions, adjusted per
-     observation by parabolic (or linear) interpolation. O(1) memory and
-     update cost, single-stream only — markers cannot merge, which is why
-     the engine aggregates with [Quantile] and P2 is offered for
-     sequential consumers. *)
-  type t = {
-    q : float;
-    heights : float array; (* 5 *)
-    positions : int array; (* 5, 1-based as in the paper *)
-    desired : float array;
-    increments : float array;
-    mutable count : int;
-    initial : float array; (* first five observations *)
-  }
-
-  let create ~q =
-    if not (q > 0.0 && q < 1.0) then
-      invalid_arg "Sketch.P2.create: q must be in (0, 1)";
-    {
-      q;
-      heights = Array.make 5 0.0;
-      positions = [| 1; 2; 3; 4; 5 |];
-      desired = [| 1.0; 1.0 +. (2.0 *. q); 1.0 +. (4.0 *. q); 3.0 +. (2.0 *. q); 5.0 |];
-      increments = [| 0.0; q /. 2.0; q; (1.0 +. q) /. 2.0; 1.0 |];
-      count = 0;
-      initial = Array.make 5 0.0;
-    }
-
-  let parabolic t i d =
-    let h = t.heights and n = t.positions in
-    let fi = float_of_int in
-    h.(i)
-    +. d
-       /. fi (n.(i + 1) - n.(i - 1))
-       *. (((fi (n.(i) - n.(i - 1)) +. d)
-            *. (h.(i + 1) -. h.(i))
-            /. fi (n.(i + 1) - n.(i)))
-          +. ((fi (n.(i + 1) - n.(i)) -. d)
-             *. (h.(i) -. h.(i - 1))
-             /. fi (n.(i) - n.(i - 1))))
-
-  let linear t i d =
-    let h = t.heights and n = t.positions in
-    let j = i + int_of_float d in
-    h.(i) +. (d *. (h.(j) -. h.(i)) /. float_of_int (n.(j) - n.(i)))
-
-  let add t x =
-    if t.count < 5 then begin
-      t.initial.(t.count) <- x;
-      t.count <- t.count + 1;
-      if t.count = 5 then begin
-        Array.sort compare t.initial;
-        Array.blit t.initial 0 t.heights 0 5
-      end
-    end
-    else begin
-      t.count <- t.count + 1;
-      let h = t.heights and n = t.positions in
-      (* Cell containing x; stretch the extreme markers when x escapes. *)
-      let k =
-        if x < h.(0) then begin
-          h.(0) <- x;
-          0
-        end
-        else if x >= h.(4) then begin
-          h.(4) <- x;
-          3
-        end
-        else begin
-          let k = ref 0 in
-          for i = 1 to 3 do
-            if x >= h.(i) then k := i
-          done;
-          !k
-        end
-      in
-      for i = k + 1 to 4 do
-        n.(i) <- n.(i) + 1
-      done;
-      for i = 0 to 4 do
-        t.desired.(i) <- t.desired.(i) +. t.increments.(i)
-      done;
-      for i = 1 to 3 do
-        let d = t.desired.(i) -. float_of_int n.(i) in
-        if
-          (d >= 1.0 && n.(i + 1) - n.(i) > 1)
-          || (d <= -1.0 && n.(i - 1) - n.(i) < -1)
-        then begin
-          let d = if d >= 0.0 then 1.0 else -1.0 in
-          let candidate = parabolic t i d in
-          let candidate =
-            if h.(i - 1) < candidate && candidate < h.(i + 1) then candidate
-            else linear t i d
-          in
-          h.(i) <- candidate;
-          n.(i) <- n.(i) + int_of_float d
-        end
-      done
-    end
-
-  let count t = t.count
-
-  let estimate t =
-    if t.count = 0 then invalid_arg "Sketch.P2.estimate: empty";
-    if t.count >= 5 then t.heights.(2)
-    else begin
-      (* Fewer than five observations: exact quantile of what we have. *)
-      let xs = Array.sub t.initial 0 t.count in
-      Array.sort compare xs;
-      xs.(int_of_float
-            (Float.round (t.q *. float_of_int (t.count - 1))))
-    end
-end

@@ -9,7 +9,7 @@
     (property-tested). {!Moments} merges compensated float sums —
     associative to rounding only, which is why the engine fixes the merge
     order (chunk index order) and results stay bitwise identical at any
-    pool size. {!P2} is single-stream and does not merge. *)
+    pool size. *)
 
 module Moments : sig
   (** Kahan-compensated count / mean / variance / min / max accumulator. *)
@@ -83,25 +83,5 @@ module Yield : sig
 
   val curve : t -> (float * float) array
   (** [(spec, fraction of observations <= spec)] per grid point.
-      @raise Invalid_argument when empty. *)
-end
-
-module P2 : sig
-  (** The classic P-squared single-quantile estimator (Jain & Chhabra
-      1985): five markers, O(1) update, no merge — for sequential
-      consumers that need one quantile of one stream. The engine itself
-      aggregates with {!Quantile}, whose buckets merge exactly. *)
-
-  type t
-
-  val create : q:float -> t
-  (** [q] strictly inside (0, 1), e.g. [0.95].
-      @raise Invalid_argument otherwise. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-
-  val estimate : t -> float
-  (** Current estimate; exact below five observations.
       @raise Invalid_argument when empty. *)
 end

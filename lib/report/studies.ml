@@ -220,57 +220,6 @@ let render_thermal rows =
    package thermal resistance:\n"
   ^ Table.render ~columns ~rows:(List.map row rows)
 
-let render_exploration ?(cycles = 100) ~f () =
-  let reference = Device.Technology.ll in
-  let archs =
-    Multipliers.Catalog.entries @ Multipliers.Catalog.extensions
-  in
-  let columns =
-    Table.column ~align:Table.Left "Architecture"
-    :: (List.map
-          (fun tech ->
-            Table.column (Device.Technology.name tech ^ " [uW]"))
-          Device.Technology.all
-       @ [ Table.column ~align:Table.Left "best" ])
-  in
-  let best_overall = ref ("", infinity) in
-  let rows =
-    List.map
-      (fun (entry : Multipliers.Catalog.entry) ->
-        let spec = entry.build () in
-        let base =
-          Power_core.Arch_params.of_spec ~cycles reference spec
-        in
-        let totals =
-          List.map
-            (fun tech ->
-              let adapted =
-                Power_core.Tech_compare.adapt_params ~reference tech base
-              in
-              let problem = Power_core.Power_law.make tech adapted ~f in
-              (tech, (Power_core.Numerical_opt.optimum problem).total))
-            Device.Technology.all
-        in
-        let best_tech, best_total =
-          List.fold_left
-            (fun (bt, bv) (tech, v) ->
-              if v < bv then (Device.Technology.name tech, v) else (bt, bv))
-            ("", infinity) totals
-        in
-        if best_total < snd !best_overall then
-          best_overall := (entry.label ^ " on " ^ best_tech, best_total);
-        entry.label
-        :: List.map (fun (_, v) -> Table.fmt_uw v) totals
-        @ [ best_tech ])
-      archs
-  in
-  Printf.sprintf
-    "Design-space exploration - every architecture on every flavor, from \
-     scratch (f = %.2f MHz):\n" (f /. 1e6)
-  ^ Table.render ~columns ~rows
-  ^ Printf.sprintf "\nGlobal winner: %s at %s uW.\n" (fst !best_overall)
-      (Table.fmt_uw (snd !best_overall))
-
 let render_extensions ?(cycles = 120) tech ~f =
   let labels =
     [ "Wallace"; "Dadda"; "Booth r4"; "Wallace parallel"; "Dadda parallel";

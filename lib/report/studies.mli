@@ -12,12 +12,6 @@ val render_extensions :
 (** Score the extension architectures (Booth, Dadda, parallel versions)
     with the from-scratch pipeline next to their paper-set baselines. *)
 
-val render_exploration : ?cycles:int -> f:float -> unit -> string
-(** Full design-space sweep: every catalog architecture (paper set +
-    extensions) on every technology flavor, from scratch; per-architecture
-    best flavor and the global winner. The "use the reproduction as a
-    design tool" showcase. *)
-
 val render_variation : Power_core.Variation.result -> string
 
 val render_yield : Power_core.Variation.yield_result -> string

@@ -51,108 +51,40 @@ type t = {
 
 let guard f = try Ok (f ()) with e -> Error e
 
-let take cell =
-  match !cell with
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-  | None -> failwith "Serve.Session: work unit never ran"
+(* A unit that runs [f] into its own cell, and the reader of that cell:
+   the unit's exception, if any, re-raises at read time. *)
+let deferred f =
+  let cell = ref None in
+  ( (fun () -> cell := Some (guard f)),
+    fun () ->
+      match !cell with
+      | Some (Ok v) -> v
+      | Some (Error e) -> raise e
+      | None -> failwith "Serve.Session: work unit never ran" )
 
 let plan ?store pool (call : Protocol.call) =
   match call with
-  | Protocol.Optimum { tech; arch } ->
-    let cell = ref None in
-    ( [
-        (fun () ->
-          cell :=
-            Some
-              (guard (fun () ->
-                   match store with
-                   | None -> Engine.optimum ~tech arch
-                   | Some st ->
-                     N.optimum_stored ~store:st
-                       (Engine.problem_of_label tech arch))));
-      ],
-      fun () -> Engine.optimum_json ~tech ~arch (take cell) )
   | Protocol.Rank { tech; archs } ->
-    (* The exact chunk layout of a one-shot [optima_continued]: cold chunk
-       heads every [continuation_chunk] items, warm chains within. *)
-    let arr = Array.of_list archs in
-    let n = Array.length arr in
-    let chunk = N.continuation_chunk in
-    let nchunks = (n + chunk - 1) / chunk in
-    let cells = Array.init nchunks (fun _ -> ref None) in
-    let units =
-      List.init nchunks (fun c ->
-          fun () ->
-            cells.(c) :=
-              Some
-                (guard (fun () ->
-                     let start = c * chunk in
-                     let stop = Stdlib.min n (start + chunk) in
-                     N.solve_chain
-                       (List.init (stop - start) (fun k ->
-                            Engine.problem_of_label tech arr.(start + k))))))
+    (* One unit per continuation chain: the very thunks a one-shot
+       [optima_continued] maps through its pool. *)
+    let units, chains =
+      List.split
+        (List.map deferred
+           (N.continuation_chains
+              ~problem_of:(Engine.problem_of_label tech) archs))
     in
     ( units,
       fun () ->
-        let points = List.concat (List.map take (Array.to_list cells)) in
+        let points = List.concat_map (fun chain -> chain ()) chains in
         Engine.rank_json ~tech (Engine.rank_sort (List.combine archs points))
     )
-  | Protocol.Sweep { tech; arch; samples; vdd_lo; vdd_hi } ->
-    let cell = ref None in
-    ( [
-        (fun () ->
-          cell :=
-            Some
-              (guard (fun () ->
-                   Engine.sweep ~pool ~tech ~samples ~vdd_lo ~vdd_hi arch)));
-      ],
-      fun () -> Engine.sweep_json ~tech ~arch (take cell) )
-  | Protocol.Lint { only } ->
-    let cell = ref None in
-    ( [
-        (fun () ->
-          cell := Some (guard (fun () -> Engine.lint ~pool ?only ())));
-      ],
-      fun () -> Engine.lint_json (take cell) )
-  | Protocol.Certify { flavors } ->
-    let cell = ref None in
-    ( [
-        (fun () ->
-          cell := Some (guard (fun () -> Engine.certify ~pool ~flavors ())));
-      ],
-      fun () -> Engine.certify_json (take cell) )
-  | Protocol.Explore
-      { bits; families; radices; stages; copies; signed; fmults; techs;
-        prune; max_latency; max_area } ->
-    let axes =
-      {
-        Power_core.Explorer.bits;
-        families;
-        radices;
-        signednesses =
-          [ (if signed then Multipliers.Booth.Signed
-             else Multipliers.Booth.Unsigned) ];
-        stages;
-        copies;
-        fmults;
-        techs;
-      }
-    in
-    let cell = ref None in
-    ( [
-        (fun () ->
-          cell :=
-            Some
-              (guard (fun () ->
-                   Engine.explore ~pool ~prune ?store ?max_latency ?max_area
-                     axes)));
-      ],
-      fun () -> Engine.explore_json (take cell) )
   | Protocol.Store_stats ->
     (* Pure introspection: no pool work, assembled at finish time so the
        reply reflects the store state after the co-batched work ran. *)
     ([], fun () -> Engine.store_stats_json store)
+  | _ ->
+    let run, reply = deferred (fun () -> Engine.run_call ~pool ?store call) in
+    ([ run ], reply)
 
 let finalize job outcome =
   Mutex.lock job.jm;

@@ -10,14 +10,14 @@
     {e all} of their work units through one {!Parallel.Pool.map} dispatch.
 
     {b Bitwise equality.} A request's work units are a pure function of
-    that request alone — an [optimum] is one cold chain of length 1, a
-    [rank] contributes exactly the {!Power_core.Numerical_opt.solve_chain}
-    chunks its own one-shot [optima_continued] would build, and [sweep] /
-    [lint] / [certify] run as single units calling the same {!Engine}
-    functions on the session pool. Co-batched requests share only the pool
-    dispatch, never a warm-start chain, so every reply is bitwise-identical
-    to {!Engine.run_call} on an idle process, whatever the batch
-    composition or pool size.
+    that request alone: a [rank] contributes exactly the
+    {!Power_core.Numerical_opt.continuation_chains} thunks its own one-shot
+    [optima_continued] maps, [store_stats] is read at finish time, and
+    every other method is a single unit returning {!Engine.run_call} on
+    the session pool. Co-batched requests share only the pool dispatch,
+    never a warm-start chain, so every reply is bitwise-identical to
+    {!Engine.run_call} on an idle process, whatever the batch composition
+    or pool size.
 
     {b Backpressure.} {!submit} blocks while the queue holds
     [queue_capacity] requests — overload slows clients down; nothing is

@@ -152,19 +152,6 @@ let test_yield_curve_merge () =
       check_bits "curve fraction" frac (float_of_int count /. 2000.0))
     (Sk.Yield.curve whole)
 
-let test_p2_estimator () =
-  let rng = Rng.create 45 in
-  let data =
-    Array.init 20000 (fun _ -> Float.exp (Rng.gaussian rng ~mu:0.0 ~sigma:1.0))
-  in
-  let p2 = Sk.P2.create ~q:0.95 in
-  Array.iter (Sk.P2.add p2) data;
-  let exact = Numerics.Stats.percentile_array (Array.copy data) 95.0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "p2 %.5g vs exact %.5g" (Sk.P2.estimate p2) exact)
-    true
-    (rel (Sk.P2.estimate p2) exact < 0.05)
-
 (* ---------------------------------------------------------------- *)
 (* Sobol                                                             *)
 (* ---------------------------------------------------------------- *)
@@ -570,7 +557,6 @@ let () =
             test_quantile_merge_associative;
           Alcotest.test_case "moments merge" `Quick test_moments_merge;
           Alcotest.test_case "yield curve merge" `Quick test_yield_curve_merge;
-          Alcotest.test_case "p2 estimator" `Quick test_p2_estimator;
         ] );
       ( "sobol",
         [
