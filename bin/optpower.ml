@@ -65,17 +65,6 @@ let no_store_arg =
   let doc = "Run cold: no warm store is opened or written." in
   Arg.(value & flag & info [ "no-store" ] ~doc)
 
-(* Constraint caps must be finite > 0 — reject at parse time so the
-   error is a usage message, not an uncaught Invalid_argument. *)
-let pos_float_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v > 0.0 -> Ok v
-    | Some _ -> Error (`Msg (Printf.sprintf "expected a finite value > 0, got %s" s))
-    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a float" s))
-  in
-  Arg.conv (parse, fun ppf v -> Format.fprintf ppf "%g" v)
-
 let open_warm ?readonly ~no_store path =
   if no_store then None else Power_core.Warm.open_store ?readonly ?path ()
 
@@ -97,6 +86,149 @@ let with_obs (trace, metrics) f =
             Printf.printf "Chrome trace written to %s\n" path)
           trace
       end)
+
+(* The request grammar. The subcommands that ask the service's questions
+   (optimum, sweep, rank, lint, certify, explore) and [client] share it:
+   each wire parameter is declared once below, as a term yielding its
+   Serve.Protocol name and JSON value when the flag is given, and
+   Serve.Protocol.call_of_params validates the lot. The CLI therefore
+   accepts exactly the requests the service accepts; a rejected one is a
+   usage error (exit 124) with Protocol's message. *)
+
+module J = Serve.Json
+
+let wire_opt ?long key cv to_json ~docv ~doc =
+  let long = Option.value long ~default:key in
+  let arg = Arg.(value & opt (some cv) None & info [ long ] ~docv ~doc) in
+  Term.(const (Option.map (fun v -> (key, to_json v))) $ arg)
+
+let wire_flag ~long key json ~doc =
+  let arg = Arg.(value & flag & info [ long ] ~doc) in
+  Term.(const (fun set -> if set then Some (key, json) else None) $ arg)
+
+let str s = J.Str s
+let num v = J.Num v
+let int_num n = J.Num (float_of_int n)
+let arr f l = J.Arr (List.map f l)
+
+let arch_param =
+  wire_opt "arch" Arg.string str ~docv:"LABEL"
+    ~doc:"Table 1 architecture label."
+
+let tech_param =
+  wire_opt "tech" Arg.string str ~docv:"FLAVOR"
+    ~doc:
+      "Technology flavor: $(b,ULL), $(b,LL) or $(b,HS) (default $(b,LL)); \
+       certify and explore also take $(b,all), their default."
+
+let samples_param =
+  wire_opt "samples" Arg.int int_num ~docv:"N"
+    ~doc:"Sweep sample count (default 25)."
+
+let archs_param =
+  wire_opt "archs" Arg.(list string) (arr str) ~docv:"LABEL,..."
+    ~doc:"Architectures to rank (default: the full Table 1 catalog)."
+
+let only_param =
+  wire_opt "only" Arg.(list string) (arr str) ~docv:"RULE-ID,..."
+    ~doc:
+      "Keep only lint findings of the given rule ids (e.g. \
+       $(b,cert.solver-in-enclosure,model.finite)); the summary and exit \
+       code reflect the filtered report."
+
+let bits_param =
+  wire_opt "bits" Arg.int int_num ~docv:"W"
+    ~doc:"Explore operand width (even, 4 to 16; default 8)."
+
+let family_param =
+  wire_opt ~long:"family" "families" Arg.(list string) (arr str) ~docv:"F,..."
+    ~doc:
+      "Explore substrate families: $(b,booth), $(b,dadda) and/or \
+       $(b,wallace) (default: all three)."
+
+let radix_param =
+  wire_opt ~long:"radix" "radices" Arg.(list int) (arr int_num) ~docv:"R,..."
+    ~doc:"Explore Booth radix axis (entries from {2, 4, 8})."
+
+let stages_param =
+  wire_opt "stages" Arg.(list int) (arr int_num) ~docv:"N,..."
+    ~doc:"Explore pipeline-depth axis (default 1,2,3)."
+
+let copies_param =
+  wire_opt "copies" Arg.(list int) (arr int_num) ~docv:"K,..."
+    ~doc:"Explore parallelisation axis (default 1,2,4)."
+
+let signed_param =
+  wire_flag ~long:"signed" "signed" (J.Bool true)
+    ~doc:"Explore signed (Booth-recoded) operands."
+
+let fmult_param =
+  wire_opt ~long:"fmult" "fmults" Arg.(list float) (arr num) ~docv:"X,..."
+    ~doc:
+      "Explore frequency slices, as multiples of the paper's 31.25 MHz \
+       (default 0.5,1,2,4)."
+
+let no_prune_param =
+  wire_flag ~long:"no-prune" "prune" (J.Bool false)
+    ~doc:"Explore exhaustively: solve every candidate (the differential \
+          oracle)."
+
+let max_latency_param =
+  wire_opt ~long:"max-latency" "max_latency" Arg.float num ~docv:"D"
+    ~doc:"Explore only candidates with effective logic depth <= $(docv) (> 0)."
+
+let max_area_param =
+  wire_opt ~long:"max-area" "max_area" Arg.float num ~docv:"CELLS"
+    ~doc:"Explore only candidates with at most $(docv) cells (> 0)."
+
+let params_term params =
+  List.fold_right
+    (fun p rest -> Term.(const (fun p l -> Option.to_list p @ l) $ p $ rest))
+    params (Term.const [])
+
+(* [defaults] stand in for the parameters the command line leaves out. *)
+let call_term ?(defaults = []) meth params =
+  let parse given =
+    let absent (key, _) = not (List.mem_assoc key given) in
+    let params = J.Obj (given @ List.filter absent defaults) in
+    match Serve.Protocol.call_of_params meth params with
+    | Ok call -> `Ok call
+    | Error (_, msg) -> `Error (true, msg)
+  in
+  Term.(ret (const parse $ params_term params))
+
+let default_arch = [ ("arch", J.Str "RCA") ]
+
+let json_flag =
+  let doc = "Print the reply as wire JSON instead of a table." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let print_reply call =
+  print (J.to_string (Serve.Engine.run_call call) ^ "\n")
+
+(* The study subcommands pick an architecture from a fixed label set: an
+   enum, so an unknown label is a usage error that lists the valid ones. *)
+let label_arg ~doc labels =
+  Arg.(
+    value
+    & opt (enum (List.map (fun l -> (l, l)) labels)) "Wallace"
+    & info [ "arch" ] ~docv:"LABEL" ~doc)
+
+let table1_label_arg =
+  label_arg ~doc:"Table 1 label."
+    (List.map
+       (fun (r : Power_core.Paper_data.table1_row) -> r.label)
+       Power_core.Paper_data.table1)
+
+let catalog_label_arg =
+  label_arg ~doc:"Catalog label."
+    (List.map
+       (fun (e : Multipliers.Catalog.entry) -> e.label)
+       (Multipliers.Catalog.entries @ Multipliers.Catalog.extensions))
+
+(* The calibrated problem of a Table 1 row on the LL flavor at the
+   paper's frequency, as the studies below use it. *)
+let ll_problem = Serve.Engine.problem_of_label Device.Technology.ll
 
 let table1_cmd =
   let run jobs obs csv =
@@ -212,24 +344,26 @@ let scratch_cmd =
   Cmd.v (Cmd.info "scratch" ~doc) Term.(const run $ jobs_arg $ obs_arg $ cycles)
 
 let sweep_cmd =
-  let label =
-    Arg.(
-      value & opt string "RCA"
-      & info [ "arch" ] ~doc:"Table 1 architecture label.")
-  in
-  let run obs label =
+  let run obs call =
     with_obs obs @@ fun () ->
-    let points = Serve.Engine.sweep label in
-    Printf.printf "%-8s %-8s %-10s %-10s %-10s\n" "Vdd" "Vth" "Pdyn[uW]"
-      "Pstat[uW]" "Ptot[uW]";
-    List.iter
-      (fun (p : Power_core.Numerical_opt.point) ->
-        Printf.printf "%-8.3f %-8.3f %-10.2f %-10.2f %-10.2f\n" p.vdd p.vth
-          (p.dynamic *. 1e6) (p.static *. 1e6) (p.total *. 1e6))
-      points
+    match call with
+    | Serve.Protocol.Sweep { tech; arch; samples; vdd_lo; vdd_hi } ->
+      let points = Serve.Engine.sweep ~tech ~samples ~vdd_lo ~vdd_hi arch in
+      Printf.printf "%-8s %-8s %-10s %-10s %-10s\n" "Vdd" "Vth" "Pdyn[uW]"
+        "Pstat[uW]" "Ptot[uW]";
+      List.iter
+        (fun (p : Power_core.Numerical_opt.point) ->
+          Printf.printf "%-8.3f %-8.3f %-10.2f %-10.2f %-10.2f\n" p.vdd p.vth
+            (p.dynamic *. 1e6) (p.static *. 1e6) (p.total *. 1e6))
+        points
+    | _ -> assert false
   in
   let doc = "Print the Ptot(Vdd) locus for one architecture." in
-  Cmd.v (Cmd.info "sweep" ~doc) Term.(const run $ obs_arg $ label)
+  Cmd.v (Cmd.info "sweep" ~doc)
+    Term.(
+      const run $ obs_arg
+      $ call_term "sweep" ~defaults:default_arch
+          [ arch_param; tech_param; samples_param ])
 
 let ablate_cmd =
   let which =
@@ -242,12 +376,9 @@ let ablate_cmd =
   let run which =
     match which with
     | `Dibl ->
-      let row = Power_core.Paper_data.table1_find "RCA" in
-      let problem =
-        Power_core.Calibration.problem_of_row Device.Technology.ll
-          ~f:Power_core.Paper_data.frequency row
-      in
-      print (Report.Studies.render_dibl (Power_core.Ablation.dibl_sweep problem))
+      print
+        (Report.Studies.render_dibl
+           (Power_core.Ablation.dibl_sweep (ll_problem "RCA")))
     | `Glitch ->
       let labels =
         [ "RCA"; "RCA hor.pipe2"; "RCA diagpipe2"; "RCA hor.pipe4";
@@ -266,9 +397,6 @@ let ablate_cmd =
   Cmd.v (Cmd.info "ablate" ~doc) Term.(const run $ which)
 
 let freq_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Table 1 label.")
-  in
   let run label =
     let row = Power_core.Paper_data.table1_find label in
     let params =
@@ -286,7 +414,7 @@ let freq_cmd =
     | None -> print_endline "\nNo HS/LL crossover between 1 MHz and 1 GHz."
   in
   let doc = "Optimal power vs throughput per technology flavor." in
-  Cmd.v (Cmd.info "freq" ~doc) Term.(const run $ arch)
+  Cmd.v (Cmd.info "freq" ~doc) Term.(const run $ table1_label_arg)
 
 let widths_cmd =
   let run () =
@@ -388,107 +516,21 @@ let faults_cmd =
   let doc = "Stuck-at fault coverage of random vectors on the bare cores." in
   Cmd.v (Cmd.info "faults" ~doc) Term.(const run $ bits $ vectors)
 
-let family_enum =
-  [ ("booth", Power_core.Explorer.Booth);
-    ("dadda", Power_core.Explorer.Dadda);
-    ("wallace", Power_core.Explorer.Wallace) ]
-
 let explore_cmd =
-  let bits =
-    Arg.(value & opt int 8
-         & info [ "bits" ] ~docv:"W" ~doc:"Operand width (even, >= 4).")
-  in
-  let families =
-    Arg.(value
-         & opt (list (enum family_enum))
-             [ Power_core.Explorer.Booth; Power_core.Explorer.Dadda;
-               Power_core.Explorer.Wallace ]
-         & info [ "family" ] ~docv:"F,..."
-             ~doc:
-               "Substrate families to enumerate: $(b,booth), $(b,dadda) \
-                and/or $(b,wallace) (default: all three).")
-  in
-  let max_latency =
-    Arg.(value & opt (some pos_float_conv) None
-         & info [ "max-latency" ] ~docv:"D"
-             ~doc:
-               "Keep only candidates with effective logic depth <= $(docv) \
-                (strictly positive).")
-  in
-  let max_area =
-    Arg.(value & opt (some pos_float_conv) None
-         & info [ "max-area" ] ~docv:"CELLS"
-             ~doc:
-               "Keep only candidates with at most $(docv) cells (strictly \
-                positive).")
-  in
-  let radices =
-    Arg.(value & opt (list int) [ 2; 4; 8 ]
-         & info [ "radix" ] ~docv:"R,..."
-             ~doc:"Booth radix axis (entries from {2, 4, 8}).")
-  in
-  let stages =
-    Arg.(value & opt (list int) [ 1; 2; 3 ]
-         & info [ "stages" ] ~docv:"N,..." ~doc:"Pipeline-depth axis.")
-  in
-  let copies =
-    Arg.(value & opt (list int) [ 1; 2; 4 ]
-         & info [ "copies" ] ~docv:"K,..." ~doc:"Parallelisation axis.")
-  in
-  let signed =
-    Arg.(value & flag
-         & info [ "signed" ] ~doc:"Explore signed (Booth-recoded) operands.")
-  in
-  let fmults =
-    Arg.(value & opt (list float) [ 0.5; 1.0; 2.0; 4.0 ]
-         & info [ "fmult" ] ~docv:"X,..."
-             ~doc:"Frequency slices, as multiples of the paper's 31.25 MHz.")
-  in
-  let tech =
-    Arg.(value & opt (some (enum [ ("ULL", Device.Technology.ull);
-                                   ("LL", Device.Technology.ll);
-                                   ("HS", Device.Technology.hs) ])) None
-         & info [ "tech" ] ~docv:"FLAVOR"
-             ~doc:"Restrict to one technology flavor; default: all three.")
-  in
-  let no_prune =
-    Arg.(value & flag
-         & info [ "no-prune" ]
-             ~doc:"Solve every candidate exactly (the differential oracle).")
-  in
-  let cycles =
-    Arg.(value & opt (some int) None
-         & info [ "cycles" ] ~docv:"N"
-             ~doc:"Simulated data cycles per characterisation.")
-  in
-  let run jobs obs bits families max_latency max_area radices stages copies
-      signed fmults tech no_prune cycles store_path no_store =
+  let run jobs obs store_path no_store call =
     set_jobs jobs;
     with_obs obs @@ fun () ->
-    let axes =
-      {
-        Power_core.Explorer.bits;
-        families;
-        radices;
-        signednesses =
-          [ (if signed then Multipliers.Booth.Signed
-             else Multipliers.Booth.Unsigned) ];
-        stages;
-        copies;
-        fmults;
-        techs =
-          (match tech with None -> Device.Technology.all | Some t -> [ t ]);
-      }
-    in
-    print (Report.Dse_report.render_axes axes ^ "\n\n");
-    let store = open_warm ~no_store store_path in
-    Fun.protect ~finally:(fun () -> Option.iter Store.close store)
-    @@ fun () ->
-    let result =
-      Power_core.Explorer.explore ~prune:(not no_prune) ?cycles ?store
-        ?max_latency ?max_area axes
-    in
-    print (Report.Dse_report.render result ^ "\n")
+    match call with
+    | Serve.Protocol.Explore { axes; prune; max_latency; max_area } ->
+      print (Report.Dse_report.render_axes axes ^ "\n\n");
+      let store = open_warm ~no_store store_path in
+      Fun.protect ~finally:(fun () -> Option.iter Store.close store)
+      @@ fun () ->
+      let result =
+        Power_core.Explorer.explore ~prune ?store ?max_latency ?max_area axes
+      in
+      print (Report.Dse_report.render result ^ "\n")
+    | _ -> assert false
   in
   let doc =
     "Pruned Pareto design-space exploration over the multiplier generators \
@@ -496,14 +538,14 @@ let explore_cmd =
      frequency), warm-started from the on-disk store."
   in
   Cmd.v (Cmd.info "explore" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ bits $ families $ max_latency
-          $ max_area $ radices $ stages $ copies $ signed $ fmults $ tech
-          $ no_prune $ cycles $ store_path_arg $ no_store_arg)
+    Term.(
+      const run $ jobs_arg $ obs_arg $ store_path_arg $ no_store_arg
+      $ call_term "explore"
+          [ bits_param; family_param; radix_param; stages_param;
+            copies_param; signed_param; fmult_param; tech_param;
+            no_prune_param; max_latency_param; max_area_param ])
 
 let export_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Catalog label.")
-  in
   let out =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE"
            ~doc:"Output path (default: stdout).")
@@ -520,12 +562,9 @@ let export_cmd =
     | None -> print (Netlist.Verilog.to_string spec.circuit)
   in
   let doc = "Export a generated multiplier as structural Verilog." in
-  Cmd.v (Cmd.info "export" ~doc) Term.(const run $ arch $ out)
+  Cmd.v (Cmd.info "export" ~doc) Term.(const run $ catalog_label_arg $ out)
 
 let vcd_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Catalog label.")
-  in
   let out =
     Arg.(value & opt string "trace.vcd" & info [ "o" ] ~docv:"FILE"
            ~doc:"Output VCD path.")
@@ -558,12 +597,10 @@ let vcd_cmd =
     Printf.printf "Recorded %d cycles of %s to %s\n" cycles label out
   in
   let doc = "Simulate a multiplier with random stimulus and dump a VCD." in
-  Cmd.v (Cmd.info "vcd" ~doc) Term.(const run $ arch $ out $ cycles)
+  Cmd.v (Cmd.info "vcd" ~doc)
+    Term.(const run $ catalog_label_arg $ out $ cycles)
 
 let trace_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Catalog label.")
-  in
   let cycles =
     Arg.(value & opt int 50 & info [ "cycles" ] ~doc:"Data cycles to record.")
   in
@@ -599,7 +636,8 @@ let trace_cmd =
     | None -> ()
   in
   let doc = "Per-cycle switching-energy trace under random stimulus." in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ arch $ cycles $ out)
+  Cmd.v (Cmd.info "trace" ~doc)
+    Term.(const run $ catalog_label_arg $ cycles $ out)
 
 let check_cmd =
   let samples =
@@ -634,15 +672,8 @@ let check_cmd =
   Cmd.v (Cmd.info "check" ~doc) Term.(const run $ samples)
 
 let energy_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Table 1 label.")
-  in
   let run label =
-    let row = Power_core.Paper_data.table1_find label in
-    let problem =
-      Power_core.Calibration.problem_of_row Device.Technology.ll
-        ~f:Power_core.Paper_data.frequency row
-    in
+    let problem = ll_problem label in
     let points = Power_core.Energy.sweep problem in
     let mep = Power_core.Energy.minimum_energy_point problem in
     print (Report.Studies.render_energy points mep);
@@ -651,23 +682,16 @@ let energy_cmd =
       (mep.overhead_at Power_core.Paper_data.frequency)
   in
   let doc = "Energy per operation vs throughput; minimum energy point." in
-  Cmd.v (Cmd.info "energy" ~doc) Term.(const run $ arch)
+  Cmd.v (Cmd.info "energy" ~doc) Term.(const run $ table1_label_arg)
 
 let variation_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Table 1 label.")
-  in
   let samples =
     Arg.(value & opt int 200 & info [ "samples" ] ~doc:"Monte Carlo dies.")
   in
   let run jobs obs label samples =
     set_jobs jobs;
     with_obs obs @@ fun () ->
-    let row = Power_core.Paper_data.table1_find label in
-    let problem =
-      Power_core.Calibration.problem_of_row Device.Technology.ll
-        ~f:Power_core.Paper_data.frequency row
-    in
+    let problem = ll_problem label in
     let rng = Numerics.Rng.create 2006 in
     print
       (Report.Studies.render_variation
@@ -675,12 +699,9 @@ let variation_cmd =
   in
   let doc = "Process-variation Monte Carlo on the optimal working point." in
   Cmd.v (Cmd.info "variation" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ arch $ samples)
+    Term.(const run $ jobs_arg $ obs_arg $ table1_label_arg $ samples)
 
 let yield_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Table 1 label.")
-  in
   let dies =
     Arg.(value & opt int 100_000
          & info [ "dies" ] ~doc:"Monte Carlo dies (scales to millions).")
@@ -699,11 +720,7 @@ let yield_cmd =
   let run jobs obs label dies sampler chunk =
     set_jobs jobs;
     with_obs obs @@ fun () ->
-    let row = Power_core.Paper_data.table1_find label in
-    let problem =
-      Power_core.Calibration.problem_of_row Device.Technology.ll
-        ~f:Power_core.Paper_data.frequency row
-    in
+    let problem = ll_problem label in
     let rng = Numerics.Rng.create 2006 in
     print
       (Report.Studies.render_yield
@@ -714,22 +731,19 @@ let yield_cmd =
      distribution and yield vs power budget."
   in
   Cmd.v (Cmd.info "yield" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ arch $ dies $ sampler $ chunk)
+    Term.(
+      const run $ jobs_arg $ obs_arg $ table1_label_arg $ dies $ sampler
+      $ chunk)
 
 let thermal_cmd =
-  let arch =
-    Arg.(value & opt string "Wallace" & info [ "arch" ] ~doc:"Table 1 label.")
-  in
   let instances =
     Arg.(value & opt int 2000
          & info [ "instances" ]
              ~doc:"Multiplier instances on the die (one is thermally inert).")
   in
   let run label instances =
-    let f = Power_core.Paper_data.frequency in
     let base = Device.Technology.ll in
-    let row = Power_core.Paper_data.table1_find label in
-    let problem0 = Power_core.Calibration.problem_of_row base ~f row in
+    let problem0 = ll_problem label in
     let optimum_at (tech : Device.Technology.t) =
       (* Leakage magnifies with die temperature; the 300 K calibration of
          everything else stands. *)
@@ -757,7 +771,8 @@ let thermal_cmd =
     print (Report.Studies.render_thermal rows)
   in
   let doc = "Self-heating fixpoint: die temperature vs package R_th." in
-  Cmd.v (Cmd.info "thermal" ~doc) Term.(const run $ arch $ instances)
+  Cmd.v (Cmd.info "thermal" ~doc)
+    Term.(const run $ table1_label_arg $ instances)
 
 let lint_cmd =
   let format =
@@ -774,20 +789,11 @@ let lint_cmd =
     in
     Arg.(value & opt int 8 & info [ "max-per-rule" ] ~docv:"N" ~doc)
   in
-  let only =
-    let doc =
-      "Keep only findings of the given comma-separated rule ids (e.g. \
-       $(b,cert.solver-in-enclosure,model.finite)). Unknown ids fail \
-       immediately; the summary and exit code reflect the filtered report."
-    in
-    Arg.(value & opt (some (list string)) None
-         & info [ "only" ] ~docv:"RULE-ID,..." ~doc)
-  in
   let list_rules =
     let doc = "Print the rule registry (id, severity, title) and exit." in
     Arg.(value & flag & info [ "list-rules" ] ~doc)
   in
-  let run jobs obs format max_per_rule only list_rules =
+  let run jobs obs format max_per_rule list_rules call =
     set_jobs jobs;
     if list_rules then begin
       List.iter
@@ -798,15 +804,9 @@ let lint_cmd =
         Analysis.Rule.all;
       exit 0
     end;
-    Option.iter
-      (List.iter (fun id ->
-           match Analysis.Rule.find id with
-           | _ -> ()
-           | exception Not_found ->
-             Printf.eprintf
-               "optpower: unknown rule id '%s' (see lint --list-rules)\n" id;
-             exit 2))
-      only;
+    let only =
+      match call with Serve.Protocol.Lint { only } -> only | _ -> assert false
+    in
     let code =
       with_obs obs @@ fun () ->
       let report = Serve.Engine.lint ?only () in
@@ -825,27 +825,21 @@ let lint_cmd =
      Exit code 0 when clean, 1 with warnings, 2 with errors."
   in
   Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ format $ max_per_rule $ only
-          $ list_rules)
+    Term.(
+      const run $ jobs_arg $ obs_arg $ format $ max_per_rule $ list_rules
+      $ call_term "lint" [ only_param ])
 
 let certify_cmd =
-  let flavor =
-    let doc =
-      "Restrict to one technology flavor ($(b,ULL), $(b,LL) or $(b,HS)); \
-       default: all three."
-    in
-    Arg.(value
-         & opt (some (enum [ ("ULL", Device.Technology.ull);
-                             ("LL", Device.Technology.ll);
-                             ("HS", Device.Technology.hs) ])) None
-         & info [ "tech" ] ~docv:"FLAVOR" ~doc)
-  in
-  let run jobs obs flavor =
+  let run jobs obs call =
     set_jobs jobs;
+    let flavors =
+      match call with
+      | Serve.Protocol.Certify { flavors } -> flavors
+      | _ -> assert false
+    in
     let code =
       with_obs obs @@ fun () ->
-      let flavors = Option.map (fun t -> [ t ]) flavor in
-      let rows = Serve.Engine.certify ?flavors () in
+      let rows = Report.Certify_report.rows ~flavors () in
       print (Report.Certify_report.render rows);
       if Report.Certify_report.violations rows > 0 then 1 else 0
     in
@@ -857,7 +851,8 @@ let certify_cmd =
      the numerical optimum against it, and exit non-zero on any violated \
      enclosure."
   in
-  Cmd.v (Cmd.info "certify" ~doc) Term.(const run $ jobs_arg $ obs_arg $ flavor)
+  Cmd.v (Cmd.info "certify" ~doc)
+    Term.(const run $ jobs_arg $ obs_arg $ call_term "certify" [ tech_param ])
 
 let all_cmd =
   let run jobs obs =
@@ -896,16 +891,17 @@ let profile_store_workload () =
   in
   remove_tree dir;
   let axes =
-    {
-      Power_core.Explorer.bits = 4;
-      families = [ Power_core.Explorer.Booth ];
-      radices = [ 4 ];
-      signednesses = [ Multipliers.Booth.Unsigned ];
-      stages = [ 1 ];
-      copies = [ 1; 2 ];
-      fmults = [ 0.5; 1.0 ];
-      techs = [ Device.Technology.ll ];
-    }
+    match
+      Serve.Protocol.call_of_params "explore"
+        (J.Obj
+           [ ("bits", J.Num 4.); ("families", J.Str "booth");
+             ("radices", J.Num 4.); ("stages", J.Num 1.);
+             ("copies", arr int_num [ 1; 2 ]);
+             ("fmults", arr num [ 0.5; 1.0 ]);
+             ("tech", J.Str "LL") ])
+    with
+    | Ok (Serve.Protocol.Explore { axes; _ }) -> axes
+    | _ -> assert false
   in
   let pass () =
     match Power_core.Warm.open_store ~path:dir () with
@@ -960,22 +956,14 @@ let profile_cmd =
       | `Mc ->
           ( "profile.mc",
             fun () ->
-              let row = Power_core.Paper_data.table1_find "Wallace" in
-              let problem =
-                Power_core.Calibration.problem_of_row Device.Technology.ll
-                  ~f:Power_core.Paper_data.frequency row
-              in
+              let problem = ll_problem "Wallace" in
               let rng = Numerics.Rng.create 2006 in
               ignore (Power_core.Variation.monte_carlo ~samples:120 ~rng problem)
           )
       | `Yield ->
           ( "profile.yield",
             fun () ->
-              let row = Power_core.Paper_data.table1_find "Wallace" in
-              let problem =
-                Power_core.Calibration.problem_of_row Device.Technology.ll
-                  ~f:Power_core.Paper_data.frequency row
-              in
+              let problem = ll_problem "Wallace" in
               let rng = Numerics.Rng.create 2006 in
               ignore
                 (Power_core.Variation.yield_mc ~dies:20_000 ~sampler:`Sobol
@@ -1016,24 +1004,6 @@ let profile_cmd =
    Serve.Engine paths the service batches, so a reply from the socket is
    bitwise-identical to the corresponding one-shot output. *)
 
-let tech_arg =
-  let doc =
-    "Technology flavor: $(b,ULL), $(b,LL) or $(b,HS) (default $(b,LL))."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("ULL", Device.Technology.ull);
-             ("LL", Device.Technology.ll);
-             ("HS", Device.Technology.hs) ])
-        Device.Technology.ll
-    & info [ "tech" ] ~docv:"FLAVOR" ~doc)
-
-let json_flag =
-  let doc = "Print the reply as wire JSON instead of a table." in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
 let socket_arg =
   let doc = "Unix-domain socket path of the service." in
   Arg.(
@@ -1042,61 +1012,49 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH" ~doc)
 
 let optimum_cmd =
-  let arch =
-    Arg.(
-      value & opt string "RCA"
-      & info [ "arch" ] ~docv:"LABEL" ~doc:"Table 1 architecture label.")
-  in
-  let run obs tech arch json =
+  let run obs json call =
     with_obs obs @@ fun () ->
-    let p : Power_core.Numerical_opt.point = Serve.Engine.optimum ~tech arch in
-    if json then
-      print
-        (Serve.Json.to_string (Serve.Engine.optimum_json ~tech ~arch p) ^ "\n")
-    else
+    match call with
+    | _ when json -> print_reply call
+    | Serve.Protocol.Optimum { tech; arch } ->
+      let p = Serve.Engine.optimum ~tech arch in
       Printf.printf
         "%s/%s: Vdd=%.3f V  Vth=%.3f V  Pdyn=%.2f uW  Pstat=%.2f uW  \
          Ptot=%.2f uW\n"
         (Device.Technology.name tech)
         arch p.vdd p.vth (p.dynamic *. 1e6) (p.static *. 1e6) (p.total *. 1e6)
+    | _ -> assert false
   in
   let doc = "Solve one architecture's optimal (Vdd*, Vth*) working point." in
   Cmd.v (Cmd.info "optimum" ~doc)
-    Term.(const run $ obs_arg $ tech_arg $ arch $ json_flag)
+    Term.(
+      const run $ obs_arg $ json_flag
+      $ call_term "optimum" ~defaults:default_arch [ arch_param; tech_param ])
 
 let rank_cmd =
-  let archs =
-    let doc =
-      "Comma-separated architecture labels (default: the full Table 1 \
-       catalog)."
-    in
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "archs" ] ~docv:"LABEL,..." ~doc)
-  in
-  let run jobs obs tech archs json =
+  let run jobs obs json call =
     set_jobs jobs;
     with_obs obs @@ fun () ->
-    let ranked = Serve.Engine.rank ~tech ?archs () in
-    if json then
-      print (Serve.Json.to_string (Serve.Engine.rank_json ~tech ranked) ^ "\n")
-    else begin
+    match call with
+    | _ when json -> print_reply call
+    | Serve.Protocol.Rank { tech; archs } ->
       Printf.printf "%-4s %-16s %-8s %-8s %-10s\n" "#" "arch" "Vdd" "Vth"
         "Ptot[uW]";
       List.iteri
         (fun i (arch, (p : Power_core.Numerical_opt.point)) ->
           Printf.printf "%-4d %-16s %-8.3f %-8.3f %-10.2f\n" (i + 1) arch
             p.vdd p.vth (p.total *. 1e6))
-        ranked
-    end
+        (Serve.Engine.rank ~tech archs)
+    | _ -> assert false
   in
   let doc =
     "Rank architectures by optimal total power (solved as one warm-start \
      continuation family)."
   in
   Cmd.v (Cmd.info "rank" ~doc)
-    Term.(const run $ jobs_arg $ obs_arg $ tech_arg $ archs $ json_flag)
+    Term.(
+      const run $ jobs_arg $ obs_arg $ json_flag
+      $ call_term "rank" [ archs_param; tech_param ])
 
 let serve_cmd =
   let queue =
@@ -1227,169 +1185,43 @@ let client_cmd =
       "Request method: $(b,optimum), $(b,sweep), $(b,rank), $(b,lint), \
        $(b,certify), $(b,explore) or $(b,store_stats)."
     in
+    let methods =
+      [ "optimum"; "sweep"; "rank"; "lint"; "certify"; "explore";
+        "store_stats" ]
+    in
     Arg.(
       required
-      & pos 0
-          (some
-             (enum
-                [ ("optimum", "optimum"); ("sweep", "sweep");
-                  ("rank", "rank"); ("lint", "lint"); ("certify", "certify");
-                  ("explore", "explore"); ("store_stats", "store_stats") ]))
-          None
+      & pos 0 (some (enum (List.map (fun m -> (m, m)) methods))) None
       & info [] ~docv:"METHOD" ~doc)
   in
-  let arch =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "arch" ] ~docv:"LABEL"
-          ~doc:"Architecture label (optimum, sweep).")
-  in
-  let tech =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tech" ] ~docv:"FLAVOR"
-          ~doc:
-            "Technology flavor: ULL, LL or HS (certify also accepts \
-             $(b,all)).")
-  in
-  let samples =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "samples" ] ~docv:"N" ~doc:"Sweep sample count.")
-  in
-  let archs =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "archs" ] ~docv:"LABEL,..." ~doc:"Rank architecture subset.")
-  in
-  let only =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "only" ] ~docv:"RULE-ID,..." ~doc:"Lint rule filter.")
-  in
-  let bits =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "bits" ] ~docv:"W" ~doc:"Explore operand width.")
-  in
-  let radices =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "radix" ] ~docv:"R,..." ~doc:"Explore radix axis.")
-  in
-  let stages =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "stages" ] ~docv:"N,..." ~doc:"Explore pipeline-depth axis.")
-  in
-  let copies =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "copies" ] ~docv:"K,..." ~doc:"Explore parallelisation axis.")
-  in
-  let signed =
-    Arg.(value & flag & info [ "signed" ] ~doc:"Explore signed operands.")
-  in
-  let fmults =
-    Arg.(
-      value
-      & opt (some (list float)) None
-      & info [ "fmult" ] ~docv:"X,..." ~doc:"Explore frequency multiples.")
-  in
-  let no_prune =
-    Arg.(
-      value & flag
-      & info [ "no-prune" ] ~doc:"Explore exhaustively (no pruning).")
-  in
-  let families =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "family" ] ~docv:"F,..."
-          ~doc:"Explore substrate families (booth, dadda, wallace).")
-  in
-  let max_latency =
-    Arg.(
-      value
-      & opt (some pos_float_conv) None
-      & info [ "max-latency" ] ~docv:"D"
-          ~doc:"Explore effective-logic-depth cap.")
-  in
-  let max_area =
-    Arg.(
-      value
-      & opt (some pos_float_conv) None
-      & info [ "max-area" ] ~docv:"CELLS" ~doc:"Explore cell-count cap.")
-  in
-  let run socket meth arch tech samples archs only bits radices stages copies
-      signed fmults no_prune families max_latency max_area =
-    let int_arr l =
-      Serve.Json.Arr (List.map (fun v -> Serve.Json.Num (float_of_int v)) l)
-    in
-    let params =
-      List.filter_map Fun.id
-        [
-          Option.map (fun a -> ("arch", Serve.Json.Str a)) arch;
-          Option.map (fun t -> ("tech", Serve.Json.Str t)) tech;
-          Option.map
-            (fun n -> ("samples", Serve.Json.Num (float_of_int n)))
-            samples;
-          Option.map
-            (fun l ->
-              ("archs", Serve.Json.Arr (List.map (fun s -> Serve.Json.Str s) l)))
-            archs;
-          Option.map
-            (fun l ->
-              ("only", Serve.Json.Arr (List.map (fun s -> Serve.Json.Str s) l)))
-            only;
-          Option.map
-            (fun b -> ("bits", Serve.Json.Num (float_of_int b)))
-            bits;
-          Option.map (fun l -> ("radices", int_arr l)) radices;
-          Option.map (fun l -> ("stages", int_arr l)) stages;
-          Option.map (fun l -> ("copies", int_arr l)) copies;
-          (if signed then Some ("signed", Serve.Json.Bool true) else None);
-          Option.map
-            (fun l ->
-              ("fmults",
-               Serve.Json.Arr (List.map (fun v -> Serve.Json.Num v) l)))
-            fmults;
-          (if no_prune then Some ("prune", Serve.Json.Bool false) else None);
-          Option.map
-            (fun l ->
-              ( "families",
-                Serve.Json.Arr (List.map (fun s -> Serve.Json.Str s) l) ))
-            families;
-          Option.map (fun v -> ("max_latency", Serve.Json.Num v)) max_latency;
-          Option.map (fun v -> ("max_area", Serve.Json.Num v)) max_area;
-        ]
-    in
-    let client = Serve.Client.connect socket in
-    let result = Serve.Client.rpc client ~meth params in
-    Serve.Client.close client;
-    match result with
-    | Ok payload -> print (Serve.Json.to_string payload ^ "\n")
-    | Error (code, msg) ->
-      Printf.eprintf "optpower client: %s: %s\n" code msg;
+  let run socket meth params =
+    match Serve.Client.connect socket with
+    | exception Unix.Unix_error (err, _, _) ->
+      Printf.eprintf "optpower client: cannot connect to %s: %s\n" socket
+        (Unix.error_message err);
       exit 1
+    | client -> (
+      let result = Serve.Client.rpc client ~meth params in
+      Serve.Client.close client;
+      match result with
+      | Ok payload -> print (J.to_string payload ^ "\n")
+      | Error (code, msg) ->
+        Printf.eprintf "optpower client: %s: %s\n" code msg;
+        exit 1)
   in
   let doc =
     "Send one request to a running $(b,optpower serve) and print the JSON \
-     reply payload."
+     reply payload. Takes the request flags of the one-shot subcommands; \
+     the service validates them."
   in
   Cmd.v (Cmd.info "client" ~doc)
-    Term.(const run $ socket_arg $ meth $ arch $ tech $ samples $ archs $ only
-          $ bits $ radices $ stages $ copies $ signed $ fmults $ no_prune
-          $ families $ max_latency $ max_area)
+    Term.(
+      const run $ socket_arg $ meth
+      $ params_term
+          [ arch_param; tech_param; samples_param; archs_param; only_param;
+            bits_param; radix_param; stages_param; copies_param;
+            signed_param; fmult_param; no_prune_param; family_param;
+            max_latency_param; max_area_param ])
 
 let main =
   let doc =
@@ -1433,4 +1265,24 @@ let main =
       all_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* Library input checks raise Invalid_argument (a die count below 1, a
+   chunk that is not a multiple of the warm chain, ...): report them as
+   usage errors, exit 124. Any other exception is a bug and gets
+   Cmdliner's internal-error report, exit 125. *)
+let () =
+  exit
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Invalid_argument msg ->
+      Printf.eprintf "optpower: %s\n" msg;
+      Cmd.Exit.cli_error
+    | exception e ->
+      let lines =
+        String.split_on_char '\n'
+          (Printexc.to_string e ^ "\n" ^ Printexc.get_backtrace ())
+      in
+      Format.eprintf
+        "optpower: @[<v>internal error, uncaught exception:@,%a@]@."
+        (Format.pp_print_list Format.pp_print_string)
+        lines;
+      Cmd.Exit.internal_error)

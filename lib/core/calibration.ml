@@ -21,11 +21,13 @@ let params_of_row (tech : Device.Technology.t) ~f (row : Paper_data.table1_row)
    full inputs is a sound cache key. Table and sweep drivers rebuild the
    same handful of problems on every call; the memo makes that free. *)
 let problem_cache =
-  Memo.create ~name:"calibration" (fun (tech, f, (row : Paper_data.table1_row)) ->
+  Parallel.Memo.create ~name:"calibration"
+    (fun (tech, f, (row : Paper_data.table1_row)) ->
       Power_law.make_calibrated tech (params_of_row tech ~f row) ~f
         ~vdd_ref:row.Paper_data.vdd ~vth_ref:row.vth)
 
-let problem_of_row tech ~f row = Memo.find problem_cache (tech, f, row)
+let problem_of_row tech ~f row =
+  Parallel.Memo.find problem_cache (tech, f, row)
 
 let implied_gate_zeta (tech : Device.Technology.t) ~f
     (row : Paper_data.table1_row) =

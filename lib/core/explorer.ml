@@ -140,7 +140,8 @@ type chars = {
 }
 
 let build_memo =
-  Memo.create ~name:"dse.build" (fun (family, radix, signedness, stages, bits) ->
+  Parallel.Memo.create ~name:"dse.build"
+    (fun (family, radix, signedness, stages, bits) ->
       match family with
       | Booth -> Multipliers.Booth.generate ~signedness ~stages ~radix ~bits ()
       | Dadda -> Multipliers.Spec_optimize.run (Multipliers.Dadda.basic ~bits)
@@ -387,7 +388,7 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
         | Some c -> (sub, skey, c, false)
         | None ->
           let spec =
-            Memo.find build_memo
+            Parallel.Memo.find build_memo
               (sub.family, sub.radix, sub.signedness, sub.stages, axes.bits)
           in
           (sub, skey, characterize ~seed ~cycles spec, true))

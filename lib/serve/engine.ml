@@ -5,17 +5,10 @@ let problem_of_label tech label =
     ~f:Power_core.Paper_data.frequency
     (Power_core.Paper_data.table1_find label)
 
-let optimum ?(tech = Device.Technology.ll) arch =
-  N.optimum (problem_of_label tech arch)
+let optimum ~tech arch = N.optimum (problem_of_label tech arch)
 
-let sweep ?pool ?(tech = Device.Technology.ll) ?(samples = 25)
-    ?(vdd_lo = 0.25) ?(vdd_hi = 1.2) arch =
+let sweep ?pool ~tech ~samples ~vdd_lo ~vdd_hi arch =
   N.sweep_vdd ?pool ~samples ~vdd_lo ~vdd_hi (problem_of_label tech arch)
-
-let catalog_labels =
-  List.map
-    (fun (r : Power_core.Paper_data.table1_row) -> r.label)
-    Power_core.Paper_data.table1
 
 (* Sorting is stable and the solve order is the catalog order, so ties
    (there are none today, but the contract matters) stay deterministic. *)
@@ -25,8 +18,7 @@ let rank_sort pairs =
       Float.compare a.total b.total)
     pairs
 
-let rank ?pool ?(tech = Device.Technology.ll) ?archs () =
-  let archs = match archs with Some a -> a | None -> catalog_labels in
+let rank ?pool ~tech archs =
   let points =
     N.optima_continued ?pool ~problem_of:(problem_of_label tech) archs
   in
@@ -37,11 +29,6 @@ let lint ?pool ?only () =
   match only with
   | None -> report
   | Some ids -> Analysis.Engine.filter_rules ids report
-
-let certify ?pool ?flavors () = Report.Certify_report.rows ?pool ?flavors ()
-
-let explore ?pool ?prune ?store ?max_latency ?max_area axes =
-  Power_core.Explorer.explore ?pool ?prune ?store ?max_latency ?max_area axes
 
 (* Wire encodings. *)
 
@@ -214,27 +201,12 @@ let run_call ?pool ?store (call : Protocol.call) =
       | Some st -> N.optimum_stored ~store:st (problem_of_label tech arch))
   | Protocol.Sweep { tech; arch; samples; vdd_lo; vdd_hi } ->
     sweep_json ~tech ~arch (sweep ?pool ~tech ~samples ~vdd_lo ~vdd_hi arch)
-  | Protocol.Rank { tech; archs } ->
-    rank_json ~tech (rank ?pool ~tech ~archs ())
+  | Protocol.Rank { tech; archs } -> rank_json ~tech (rank ?pool ~tech archs)
   | Protocol.Lint { only } -> lint_json (lint ?pool ?only ())
-  | Protocol.Certify { flavors } -> certify_json (certify ?pool ~flavors ())
-  | Protocol.Explore
-      { bits; families; radices; stages; copies; signed; fmults; techs;
-        prune; max_latency; max_area } ->
-    let axes =
-      {
-        Power_core.Explorer.bits;
-        families;
-        radices;
-        signednesses =
-          [ (if signed then Multipliers.Booth.Signed
-             else Multipliers.Booth.Unsigned) ];
-        stages;
-        copies;
-        fmults;
-        techs;
-      }
-    in
+  | Protocol.Certify { flavors } ->
+    certify_json (Report.Certify_report.rows ?pool ~flavors ())
+  | Protocol.Explore { axes; prune; max_latency; max_area } ->
     explore_json
-      (explore ?pool ~prune ?store ?max_latency ?max_area axes)
+      (Power_core.Explorer.explore ?pool ~prune ?store ?max_latency ?max_area
+         axes)
   | Protocol.Store_stats -> store_stats_json store

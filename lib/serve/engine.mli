@@ -15,20 +15,20 @@ val problem_of_label :
     unknown label — callers validate via {!Protocol}. *)
 
 val optimum :
-  ?tech:Device.Technology.t -> string -> Power_core.Numerical_opt.point
+  tech:Device.Technology.t -> string -> Power_core.Numerical_opt.point
 (** Cold seeded solve of one architecture's optimal working point —
-    exactly what the table drivers run per row. Default tech: LL. *)
+    exactly what the table drivers run per row. *)
 
 val sweep :
   ?pool:Parallel.Pool.t ->
-  ?tech:Device.Technology.t ->
-  ?samples:int ->
-  ?vdd_lo:float ->
-  ?vdd_hi:float ->
+  tech:Device.Technology.t ->
+  samples:int ->
+  vdd_lo:float ->
+  vdd_hi:float ->
   string ->
   Power_core.Numerical_opt.point list
-(** The [optpower sweep] body: Ptot(Vdd) locus for one architecture.
-    Defaults match the CLI (25 samples, 0.25–1.2 V). *)
+(** Ptot(Vdd) locus for one architecture ({!Protocol.call}'s [Sweep]
+    holds the defaults). *)
 
 val rank_sort :
   (string * Power_core.Numerical_opt.point) list ->
@@ -39,38 +39,18 @@ val rank_sort :
 
 val rank :
   ?pool:Parallel.Pool.t ->
-  ?tech:Device.Technology.t ->
-  ?archs:string list ->
-  unit ->
+  tech:Device.Technology.t ->
+  string list ->
   (string * Power_core.Numerical_opt.point) list
-(** Solve the given architectures (default: the full Table 1 catalog) as
-    one warm-start continuation family ({!Power_core.Numerical_opt.optima_continued})
-    and return them sorted by ascending optimal Ptot (ties keep catalog
-    order). *)
+(** Solve the given architectures as one warm-start continuation family
+    ({!Power_core.Numerical_opt.optima_continued}) and return them sorted
+    by ascending optimal Ptot (ties keep the given order). *)
 
 val lint :
   ?pool:Parallel.Pool.t -> ?only:string list -> unit ->
   Analysis.Engine.report
 (** The [optpower lint] body: full engine run, optionally filtered to the
     given rule ids. *)
-
-val certify :
-  ?pool:Parallel.Pool.t ->
-  ?flavors:Device.Technology.t list ->
-  unit ->
-  Report.Certify_report.row list
-(** The [optpower certify] body. *)
-
-val explore :
-  ?pool:Parallel.Pool.t ->
-  ?prune:bool ->
-  ?store:Store.t ->
-  ?max_latency:float ->
-  ?max_area:float ->
-  Power_core.Explorer.axes ->
-  Power_core.Explorer.result
-(** The [optpower explore] body — {!Power_core.Explorer.explore}, with
-    the warm store and constraint caps threaded through. *)
 
 (** {1 Wire encodings}
 
@@ -104,7 +84,9 @@ val store_stats_json : Store.t option -> Json.t
 (** Warm-store statistics payload; [None] encodes [{"enabled": false}]. *)
 
 val run_call : ?pool:Parallel.Pool.t -> ?store:Store.t -> Protocol.call -> Json.t
-(** One-shot execution of a validated call: dispatch to the function above
-    and encode the reply payload. This is the reference the batched
+(** One-shot execution of a validated call: dispatch to the functions
+    above ([certify] to {!Report.Certify_report.rows}, [explore] to
+    {!Power_core.Explorer.explore} with the call's axes) and encode the
+    reply payload. This is the reference the batched
     session must match bitwise — with the same [store] state, a warm
     reply replays the exact bits a cold solve would produce. *)

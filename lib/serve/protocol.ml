@@ -27,14 +27,7 @@ type call =
   | Lint of { only : string list option }
   | Certify of { flavors : Device.Technology.t list }
   | Explore of {
-      bits : int;
-      families : Power_core.Explorer.family list;
-      radices : int list;
-      stages : int list;
-      copies : int list;
-      signed : bool;
-      fmults : float list;
-      techs : Device.Technology.t list;
+      axes : Power_core.Explorer.axes;
       prune : bool;
       max_latency : float option;
       max_area : float option;
@@ -57,7 +50,7 @@ let method_name = function
   | Store_stats -> "store_stats"
 
 (* Validation helpers: every failure raises [Invalid Params] with a
-   message; [parse_frame] catches and turns it into the error triple. *)
+   message; [call_of_params] catches it and returns the error pair. *)
 
 exception Invalid of error_code * string
 
@@ -84,6 +77,12 @@ let tech_of_string = function
 let tech_of_json = function
   | None -> Device.Technology.ll
   | Some (Json.Str s) -> tech_of_string s
+  | Some _ -> invalid "\"tech\" must be a string"
+
+(* certify and explore take one flavor or "all", the default. *)
+let flavors_of_json = function
+  | None | Some (Json.Str "all") -> Device.Technology.all
+  | Some (Json.Str s) -> [ tech_of_string s ]
   | Some _ -> invalid "\"tech\" must be a string"
 
 let finite_number name = function
@@ -194,39 +193,29 @@ let parse_call meth params =
     in
     Lint { only }
   | "certify" ->
-    let flavors =
-      match Json.member "tech" params with
-      | None -> Device.Technology.all
-      | Some (Json.Str "all") -> Device.Technology.all
-      | Some (Json.Str s) -> [ tech_of_string s ]
-      | Some _ -> invalid "\"tech\" must be a string"
-    in
-    Certify { flavors }
+    Certify { flavors = flavors_of_json (Json.member "tech" params) }
   | "explore" ->
-    let bits = int_param "bits" ~default:8 ~min:4 ~max:16 params in
+    let d = Power_core.Explorer.default_axes in
+    let bits = int_param "bits" ~default:d.bits ~min:4 ~max:16 params in
     if bits mod 2 <> 0 then invalid "\"bits\" must be even";
-    let radices = int_axis "radices" ~default:[ 2; 4; 8 ] ~min:2 ~max:8 params in
+    let radices = int_axis "radices" ~default:d.radices ~min:2 ~max:8 params in
     List.iter
       (fun r ->
         if r <> 2 && r <> 4 && r <> 8 then
           invalid "\"radices\" entries must be 2, 4 or 8")
       radices;
-    let stages = int_axis "stages" ~default:[ 1; 2; 3 ] ~min:1 ~max:16 params in
-    let copies = int_axis "copies" ~default:[ 1; 2; 4 ] ~min:1 ~max:64 params in
-    let signed = bool_param "signed" ~default:false params in
-    let fmults =
-      num_axis "fmults" ~default:[ 0.5; 1.0; 2.0; 4.0 ] params
+    let stages = int_axis "stages" ~default:d.stages ~min:1 ~max:16 params in
+    let copies = int_axis "copies" ~default:d.copies ~min:1 ~max:64 params in
+    let signednesses =
+      if bool_param "signed" ~default:false params then
+        [ Multipliers.Booth.Signed ]
+      else d.signednesses
     in
+    let fmults = num_axis "fmults" ~default:d.fmults params in
     List.iter
       (fun m -> if not (m > 0.0) then invalid "\"fmults\" entries must be > 0")
       fmults;
-    let techs =
-      match Json.member "tech" params with
-      | None -> Device.Technology.all
-      | Some (Json.Str "all") -> Device.Technology.all
-      | Some (Json.Str s) -> [ tech_of_string s ]
-      | Some _ -> invalid "\"tech\" must be a string"
-    in
+    let techs = flavors_of_json (Json.member "tech" params) in
     let prune = bool_param "prune" ~default:true params in
     let family_of_name s =
       match Power_core.Explorer.family_of_string s with
@@ -236,9 +225,7 @@ let parse_call meth params =
     in
     let families =
       match Json.member "families" params with
-      | None ->
-        [ Power_core.Explorer.Booth; Power_core.Explorer.Dadda;
-          Power_core.Explorer.Wallace ]
+      | None -> d.families
       | Some (Json.Str s) -> [ family_of_name s ]
       | Some (Json.Arr _ as j) ->
         let names = string_list "families" j in
@@ -258,17 +245,8 @@ let parse_call meth params =
     let max_latency = cap_param "max_latency" in
     let max_area = cap_param "max_area" in
     let axes =
-      {
-        Power_core.Explorer.bits;
-        families;
-        radices;
-        signednesses =
-          [ (if signed then Multipliers.Booth.Signed else Multipliers.Booth.Unsigned) ];
-        stages;
-        copies;
-        fmults;
-        techs;
-      }
+      { Power_core.Explorer.bits; families; radices; signednesses; stages;
+        copies; fmults; techs }
     in
     let size = Power_core.Explorer.space_size axes in
     if size = 0 then
@@ -276,11 +254,17 @@ let parse_call meth params =
     if size > max_explore_candidates then
       invalid "axes enumerate %d candidates (cap %d); narrow an axis" size
         max_explore_candidates;
-    Explore
-      { bits; families; radices; stages; copies; signed; fmults; techs;
-        prune; max_latency; max_area }
+    Explore { axes; prune; max_latency; max_area }
   | "store_stats" -> Store_stats
   | m -> raise (Invalid (Unknown_method, Printf.sprintf "unknown method %S" m))
+
+let call_of_params meth params =
+  match params with
+  | Json.Obj _ -> (
+    match parse_call meth params with
+    | call -> Ok call
+    | exception Invalid (code, msg) -> Error (code, msg))
+  | _ -> Error (Params, "\"params\" must be an object")
 
 let parse_frame line =
   if String.length line > max_frame_bytes then
@@ -300,12 +284,9 @@ let parse_frame line =
           let params =
             Option.value ~default:(Json.Obj []) (Json.member "params" json)
           in
-          (match params with
-          | Json.Obj _ -> (
-            match parse_call meth params with
-            | call -> Ok { id; call }
-            | exception Invalid (code, msg) -> Error (id, code, msg))
-          | _ -> Error (id, Params, "\"params\" must be an object"))
+          (match call_of_params meth params with
+          | Ok call -> Ok { id; call }
+          | Error (code, msg) -> Error (id, code, msg))
         | Some _ -> Error (id, Parse, "\"method\" must be a string")
         | None -> Error (id, Parse, "missing \"method\""))
       | _ -> Error (id, Parse, "request frame must be a JSON object"))

@@ -37,7 +37,7 @@ type call =
   | Sweep of {
       tech : Device.Technology.t;
       arch : string;
-      samples : int;  (** Default 25, the CLI sweep's default. *)
+      samples : int;  (** In [2, {!max_sweep_samples}]; default 25. *)
       vdd_lo : float;  (** Default 0.25 V. *)
       vdd_hi : float;  (** Default 1.2 V. *)
     }
@@ -47,17 +47,14 @@ type call =
   | Certify of { flavors : Device.Technology.t list }
       (** Defaults to all three flavors. *)
   | Explore of {
-      bits : int;  (** Even, in [4, 16]; default 8. *)
-      families : Power_core.Explorer.family list;
-          (** From ["families"]: a name or array of names among
-              ["booth"], ["dadda"], ["wallace"]; default all three. *)
-      radices : int list;  (** Subset of {2, 4, 8}; default all three. *)
-      stages : int list;  (** Default [1; 2; 3]. *)
-      copies : int list;  (** Default [1; 2; 4]. *)
-      signed : bool;  (** Default false (unsigned operands). *)
-      fmults : float list;  (** Default [0.5; 1; 2; 4], all > 0. *)
-      techs : Device.Technology.t list;
-          (** From ["tech"]: a single flavor or ["all"] (the default). *)
+      axes : Power_core.Explorer.axes;
+          (** From ["bits"] (even, in [4, 16]), ["families"] (a name or
+              array of names among ["booth"], ["dadda"], ["wallace"]),
+              ["radices"] (subset of {2, 4, 8}), ["stages"], ["copies"],
+              ["signed"], ["fmults"] (all > 0) and ["tech"] (one flavor
+              or ["all"]); each absent axis takes its
+              {!Power_core.Explorer.default_axes} value, and ["signed"]
+              [true] selects signed operands. *)
       prune : bool;  (** Default true; [false] forces exhaustive solves. *)
       max_latency : float option;
           (** Optional effective-logical-depth cap; must be finite > 0
@@ -82,6 +79,15 @@ val max_sweep_samples : int
 val max_explore_candidates : int
 (** Upper bound on the candidate count an [explore] request's axes may
     enumerate (4096) — a service-side sanity cap. *)
+
+val call_of_params :
+  string -> Json.t -> (call, error_code * string) result
+(** [call_of_params meth params] validates one request body: [meth] a
+    method name, [params] its parameter object. This is the one request
+    grammar: the service parses every frame through it, and the CLI's
+    request subcommands build [params] from their flags and parse them
+    here too, so both accept exactly the same requests. Errors are
+    [Unknown_method] or [Params] with a human-readable message. *)
 
 val parse_frame :
   string -> (request, Json.t * error_code * string) result

@@ -304,7 +304,7 @@ let test_explore_params () =
   (match call_of "explore" [ ("families", Json.Str "dadda") ] with
   | Protocol.Explore e ->
     Alcotest.(check bool) "single family string" true
-      (e.families = [ Power_core.Explorer.Dadda ]);
+      (e.axes.families = [ Power_core.Explorer.Dadda ]);
     Alcotest.(check bool) "caps default to none" true
       (e.max_latency = None && e.max_area = None)
   | _ -> Alcotest.fail "not an explore call");
@@ -318,7 +318,7 @@ let test_explore_params () =
    with
   | Protocol.Explore e ->
     Alcotest.(check bool) "family list" true
-      (e.families = [ Power_core.Explorer.Booth; Power_core.Explorer.Wallace ]);
+      (e.axes.families = [ Power_core.Explorer.Booth; Power_core.Explorer.Wallace ]);
     Alcotest.(check bool) "caps carried" true
       (e.max_latency = Some 12.5 && e.max_area = Some 4000.0)
   | _ -> Alcotest.fail "not an explore call");
