@@ -337,13 +337,14 @@ type acc = {
   a_exact : int;
 }
 
-(* The store key of an exact per-slice solve outcome. *)
-let opt_key c = Warm.problem_key c.problem
+(* The store key of an exact per-slice solve outcome: {!Warm.problem_key}
+   of the candidate, from the design key it already carries. *)
+let opt_key c = Warm.problem_key_of_design ~design_key:c.dkey c.problem
 
 let ledger_key ~dkey ~f = Printf.sprintf "%s|f:%h" dkey f
 
-let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
-    ?(reference = Device.Technology.ll) ?store ?max_latency ?max_area axes =
+(* The axes checks [explore] documents; the valid substrate combos. *)
+let validate ?max_latency ?max_area axes =
   if axes.fmults = [] then invalid_arg "Explorer.explore: empty fmults";
   if axes.techs = [] then invalid_arg "Explorer.explore: empty techs";
   if axes.copies = [] then invalid_arg "Explorer.explore: empty copies";
@@ -364,10 +365,15 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
   if combos = [] then
     invalid_arg
       "Explorer.explore: no valid (family, radix, signedness, stages) combo";
-  (* Build + characterize each substrate once, in parallel; the memo pair
-     makes repeat explorations (and the exhaustive arm of an A/B run) skip
-     straight to cached characterizations. Warm-store lookups and writes
-     both run on the caller — a hit skips the build entirely. *)
+  combos
+
+(* The design axes (everything except f) in a fixed order, each as
+   (substrate, copies, tech, tech name, label, design key, params). Build +
+   characterize each substrate once, in parallel; the memo pair makes
+   repeat explorations (and the exhaustive arm of an A/B run) skip straight
+   to cached characterizations. Warm-store lookups and writes both run on
+   the caller — a hit skips the build entirely. *)
+let designs ?pool ?store ~seed ~cycles ~reference axes combos =
   let lookups =
     List.map
       (fun sub ->
@@ -401,41 +407,41 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
       (fun (_, skey, c, fresh) ->
         if fresh then Store.put st ~ns:Warm.ns_chars skey (encode_chars c))
       substrates);
-  (* Design axes (everything except f), enumerated in a fixed order. *)
-  let designs =
-    List.concat_map
-      (fun (sub, _, chars, _) ->
-        List.concat_map
-          (fun copies ->
-            let base =
-              params_of_chars
-                ~label:(substrate_label ~bits:axes.bits sub)
-                ~reference chars
-            in
-            let transformed =
-              if copies = 1 then base
-              else (Transform.parallelize ~copies ()).Transform.apply base
-            in
-            List.map
-              (fun tech ->
-                let tech_name = Device.Technology.name tech in
-                let params =
-                  Tech_compare.adapt_params ~reference tech transformed
-                in
-                let design =
-                  design_label ~family:sub.family ~radix:sub.radix
-                    ~signedness:sub.signedness ~stages:sub.stages ~copies
-                    ~bits:axes.bits ~tech:tech_name
-                in
-                let dkey =
-                  Warm.design_key
-                    { Power_law.tech; params; f = 1.0; chi_prime = 0.0 }
-                in
-                (sub, copies, tech, tech_name, design, dkey, params))
-              axes.techs)
-          axes.copies)
-      substrates
-  in
+  List.concat_map
+    (fun (sub, _, chars, _) ->
+      List.concat_map
+        (fun copies ->
+          let base =
+            params_of_chars
+              ~label:(substrate_label ~bits:axes.bits sub)
+              ~reference chars
+          in
+          let transformed =
+            if copies = 1 then base
+            else (Transform.parallelize ~copies ()).Transform.apply base
+          in
+          List.map
+            (fun tech ->
+              let tech_name = Device.Technology.name tech in
+              let params =
+                Tech_compare.adapt_params ~reference tech transformed
+              in
+              let design =
+                design_label ~family:sub.family ~radix:sub.radix
+                  ~signedness:sub.signedness ~stages:sub.stages ~copies
+                  ~bits:axes.bits ~tech:tech_name
+              in
+              let dkey =
+                Warm.design_key
+                  { Power_law.tech; params; f = 1.0; chi_prime = 0.0 }
+              in
+              (sub, copies, tech, tech_name, design, dkey, params))
+            axes.techs)
+        axes.copies)
+    substrates
+
+(* The slice frequencies, ascending and deduplicated. *)
+let slice_frequencies axes =
   let fs =
     List.sort_uniq compare
       (List.map (fun m -> m *. Paper_data.frequency) axes.fmults)
@@ -443,6 +449,23 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
   List.iter
     (fun f -> if f <= 0.0 then invalid_arg "Explorer.explore: fmult <= 0")
     fs;
+  fs
+
+let problems ?(seed = 7) ?(cycles = 160) ?(reference = Device.Technology.ll)
+    axes =
+  let designs = designs ~seed ~cycles ~reference axes (validate axes) in
+  List.concat_map
+    (fun f ->
+      List.map
+        (fun (_, _, tech, _, _, _, params) -> Power_law.make tech params ~f)
+        designs)
+    (slice_frequencies axes)
+
+let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
+    ?(reference = Device.Technology.ll) ?store ?max_latency ?max_area axes =
+  let combos = validate ?max_latency ?max_area axes in
+  let designs = designs ?pool ?store ~seed ~cycles ~reference axes combos in
+  let fs = slice_frequencies axes in
   (* Certified lower bounds per design, carried across ascending-f slices
      (see the header comment for why that is sound). *)
   let ledger : (string, float) Hashtbl.t = Hashtbl.create 256 in
@@ -462,19 +485,26 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
       (fun f ->
         (* Seed the in-run ledger with bounds a previous run certified for
            this exact (design, f): they were carried to f by the same
-           ascending-slice monotonicity argument before being persisted. *)
-        (match store with
-        | None -> ()
-        | Some st ->
-          List.iter
-            (fun (_, _, _, _, design, dkey, _) ->
-              match Store.find st ~ns:Warm.ns_ledger (ledger_key ~dkey ~f) with
-              | None -> ()
-              | Some v -> (
-                match Warm.decode_floats v with
-                | Some [ lo ] -> ledger_raise design lo
-                | _ -> ()))
-            designs);
+           ascending-slice monotonicity argument before being persisted.
+           The slice's ledger keys, by design index, serve the final
+           persist pass too. *)
+        let ledger_keys =
+          match store with
+          | None -> [||]
+          | Some st ->
+            Array.of_list
+              (List.map
+                 (fun (_, _, _, _, design, dkey, _) ->
+                   let key = ledger_key ~dkey ~f in
+                   (match Store.find st ~ns:Warm.ns_ledger key with
+                   | None -> ()
+                   | Some v -> (
+                     match Warm.decode_floats v with
+                     | Some [ lo ] -> ledger_raise design lo
+                     | _ -> ()));
+                   key)
+                 designs)
+        in
         let cands =
           List.mapi
             (fun idx
@@ -539,19 +569,24 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
            payload: a hit carries the stored outcome through the pool
            untouched, so fold sees solve and replay results uniformly. *)
         let reasons : [ `Bound | `Cert ] Queue.t = Queue.create () in
+        (* A candidate's opt key is formatted at most once, and only with a
+           store: a miss carries it through the task to [fold]'s put. *)
         let replay c =
           match store with
-          | None -> None
+          | None -> `Miss None
           | Some st -> (
-            match Store.find st ~ns:Warm.ns_opt (opt_key c) with
-            | None -> None
-            | Some v -> Warm.decode_opt v)
+            let key = opt_key c in
+            match
+              Option.bind (Store.find st ~ns:Warm.ns_opt key) Warm.decode_opt
+            with
+            | Some outcome -> `Hit outcome
+            | None -> `Miss (Some key))
         in
         let plan acc c =
           if not prune then
             match replay c with
-            | Some outcome -> Some (`Hit outcome)
-            | None -> Some (`Solve c.problem)
+            | `Hit _ as hit -> Some hit
+            | `Miss key -> Some (`Solve (c.problem, key))
           else begin
             let threshold =
               threshold_against acc.front ~latency:c.latency ~area:c.carea
@@ -567,8 +602,8 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
             end
             else
               match replay c with
-              | Some outcome -> Some (`Hit outcome)
-              | None ->
+              | `Hit _ as hit -> Some hit
+              | `Miss key ->
                 if
                   Float.is_finite threshold
                   && excludes_gate ~rank:c.rank ~threshold
@@ -579,21 +614,21 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
                      next float up is still a sound lower bound — and it
                      makes the persisted ledger able to re-prune this
                      candidate without re-running the proof. *)
-                  ledger_raise c.design (Float.succ threshold);
+                  ledger_raise c.design (Iv.up threshold);
                   Queue.add `Cert reasons;
                   None
                 end
-                else Some (`Solve c.problem)
+                else Some (`Solve (c.problem, key))
           end
         in
         let task = function
           | `Hit outcome -> `Hit outcome
-          | `Solve problem ->
+          | `Solve (problem, key) ->
             let point = Numerical_opt.optimum problem in
             if Float.is_finite point.Power_law.total then
               let cert = Absint.certify (Absint.box problem) in
-              `Solved (Some (point, cert.Absint.ptot.Iv.lo))
-            else `Solved None
+              `Solved (key, Some (point, cert.Absint.ptot.Iv.lo))
+            else `Solved (key, None)
         in
         let consume_outcome acc c outcome =
           match outcome with
@@ -632,13 +667,12 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
             Obs.Counter.incr c_store_hits;
             let acc = consume_outcome acc c outcome in
             { acc with a_store = acc.a_store + 1 }
-          | Some (`Solved outcome) ->
+          | Some (`Solved (key, outcome)) ->
             Obs.Counter.incr c_exact_solves;
-            (match store with
-            | None -> ()
-            | Some st ->
-              Store.put st ~ns:Warm.ns_opt (opt_key c)
-                (Warm.encode_opt outcome));
+            (match (store, key) with
+            | Some st, Some key ->
+              Store.put st ~ns:Warm.ns_opt key (Warm.encode_opt outcome)
+            | _ -> ());
             let acc = consume_outcome acc c outcome in
             { acc with a_exact = acc.a_exact + 1 }
         in
@@ -658,8 +692,7 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
             (fun c ->
               match Hashtbl.find_opt ledger c.design with
               | Some lo when Float.is_finite lo ->
-                Store.put st ~ns:Warm.ns_ledger
-                  (ledger_key ~dkey:c.dkey ~f)
+                Store.put st ~ns:Warm.ns_ledger ledger_keys.(c.idx)
                   (Warm.encode_floats [ lo ])
               | _ -> ())
             sorted);

@@ -104,6 +104,19 @@ type totals = {
 
 type result = { pruned : bool; slices : slice list; totals : totals }
 
+val problems :
+  ?seed:int ->
+  ?cycles:int ->
+  ?reference:Device.Technology.t ->
+  axes ->
+  Power_law.problem list
+(** Every candidate problem {!explore} enumerates over the axes (no
+    constraint caps), slice by slice in ascending frequency and in
+    enumeration order within a slice, with {!explore}'s defaults for
+    [seed]/[cycles]/[reference]. Its warm store files the exact outcome of
+    each under {!Warm.problem_key}.
+    @raise Invalid_argument as {!explore} does. *)
+
 val explore :
   ?pool:Parallel.Pool.t ->
   ?round:int ->

@@ -76,8 +76,10 @@ let design_key (p : Power_law.problem) =
     (encode_floats (tech_fields t))
     a.n_cells a.activity a.avg_cap a.io_cell a.ld_eff a.area
 
-let problem_key (p : Power_law.problem) =
-  Printf.sprintf "%s|f:%h|x:%h" (design_key p) p.f p.chi_prime
+let problem_key_of_design ~design_key (p : Power_law.problem) =
+  Printf.sprintf "%s|f:%h|x:%h" design_key p.f p.chi_prime
+
+let problem_key p = problem_key_of_design ~design_key:(design_key p) p
 
 let encode_point (b : Power_law.breakdown) =
   encode_floats [ b.vdd; b.vth; b.dynamic; b.static; b.total ]

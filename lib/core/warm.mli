@@ -58,6 +58,11 @@ val design_key : Power_law.problem -> string
 val problem_key : Power_law.problem -> string
 (** {!design_key} plus [f] and [chi_prime]: the exact solve identity. *)
 
+val problem_key_of_design : design_key:string -> Power_law.problem -> string
+(** {!problem_key} from an already formatted [design_key] (which must be
+    [design_key p]): the same bytes, without formatting the technology
+    and architecture fields again. *)
+
 val encode_point : Power_law.breakdown -> string
 val decode_point : string -> Power_law.breakdown option
 

@@ -4,19 +4,44 @@
    correctness is not guaranteed): the returned interval always encloses
    the exact real result. Endpoints may be infinite (an unbounded
    enclosure carries no information but stays sound); NaN endpoints are
-   rejected at construction. *)
+   rejected at construction.
+
+   The one-ulp steps equal libm's [nextafter] ([Float.succ]/[Float.pred])
+   bit for bit, NaN included, without its C call, which dominated the
+   certifier's arithmetic. [up] takes one of two exact routes:
+   - 2^-969 <= |x| <= max_float: e = |x| * 2^-53 * (1 + 2^-52) is a normal
+     double strictly between one half and three halves of the gap from x
+     to its upward neighbour (an ulp of |x|, or half of one when x is a
+     negative power of two), and the next double past that neighbour is at
+     least one more gap away, so the round-to-nearest sum x + e is the
+     neighbour itself (from max_float it overflows to +inf, as
+     [nextafter] does).
+   - Elsewhere, an integer step on the IEEE-754 bit pattern: a positive
+     finite x steps up by one and a negative one down by one (the
+     encoding is sign-magnitude), +inf stays, both zeros give the least
+     subnormal, and a NaN comes back as glibc's [x + y]. *)
 
 type t = { lo : float; hi : float }
 
 exception Empty
 
-let down x = Float.pred x
-let up x = Float.succ x
+let[@inline] up x =
+  let a = Float.abs x in
+  if a >= 0x1p-969 && a <= Float.max_float then
+    x +. (a *. 0x1.0000000000001p-53)
+  else if x > 0.0 then
+    if x = Float.infinity then x
+    else Int64.float_of_bits (Int64.succ (Int64.bits_of_float x))
+  else if x < 0.0 then Int64.float_of_bits (Int64.pred (Int64.bits_of_float x))
+  else if x = 0.0 then 0x1p-1074
+  else x +. Float.infinity
+
+let[@inline] down x = -.up (-.x)
 
 (* libm results are within 1 ulp of exact on every platform this repo
    targets; widening by two keeps the enclosure sound with margin. *)
-let down2 x = Float.pred (Float.pred x)
-let up2 x = Float.succ (Float.succ x)
+let down2 x = down (down x)
+let up2 x = up (up x)
 
 let make lo hi =
   if Float.is_nan lo || Float.is_nan hi then

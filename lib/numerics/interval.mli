@@ -14,6 +14,16 @@
 
 type t = private { lo : float; hi : float }
 
+val up : float -> float
+(** The next double towards [+inf]: [Float.succ] bit for bit, NaN payloads
+    included, without its libm [nextafter] call (a multiply and an add when
+    [2^-969 <= |x| <= max_float], an integer step on the bit pattern
+    otherwise). *)
+
+val down : float -> float
+(** The next double towards [-inf]: [Float.pred] bit for bit, as
+    [-. up (-. x)]. *)
+
 exception Empty
 (** Raised by {!meet_exn} on disjoint intervals. *)
 

@@ -455,6 +455,61 @@ let test_interval_construction () =
   Alcotest.(check bool) "entire is unbounded" false (Iv.is_finite Iv.entire);
   Alcotest.(check bool) "finite box" true (Iv.is_finite (Iv.make 0.0 1.0))
 
+(* The outward steps must be libm's [nextafter] bit for bit: signed
+   zeros, subnormals, the finite extremes, infinities and every NaN
+   flavour; both sides of the arithmetic route's 2^-969 threshold and
+   every binade edge (where the gap to the upward neighbour halves or
+   doubles); then a million seeded random bit patterns, which land on NaNs
+   and subnormals too. *)
+let test_interval_ulp_steps () =
+  let bits = Int64.bits_of_float in
+  let check name x =
+    Alcotest.(check int64) (name ^ " up") (bits (Float.succ x)) (bits (Iv.up x));
+    Alcotest.(check int64) (name ^ " down") (bits (Float.pred x))
+      (bits (Iv.down x))
+  in
+  List.iter
+    (fun x ->
+      check (Printf.sprintf "%h" x) x;
+      check (Printf.sprintf "-(%h)" x) (-.x))
+    [ 0.0; 0x1p-1074; 0x1p-1073; 0x0.fffffffffffffp-1022; Float.min_float;
+      Float.pred 0x1p-969; 0x1p-969; 1.0; Float.max_float; Float.infinity ];
+  List.iter
+    (fun b -> check (Printf.sprintf "bits %Lx" b) (Int64.float_of_bits b))
+    [ 0x7FF8000000000000L (* quiet NaN *);
+      0x7FF0000000000001L (* signalling NaN *);
+      0x7FF4000000000123L (* signalling NaN, payload *);
+      0xFFF8000000000000L (* negative quiet NaN *);
+      0xFFF0000000000001L (* negative signalling NaN *);
+      0x7FFFFFFFFFFFFFFFL; 0xFFFFFFFFFFFFFFFFL ];
+  let mismatches = ref 0 in
+  let compare_at b =
+    let x = Int64.float_of_bits b in
+    if
+      bits (Iv.up x) <> bits (Float.succ x)
+      || bits (Iv.down x) <> bits (Float.pred x)
+    then incr mismatches
+  in
+  for e = 0 to 2047 do
+    List.iter
+      (fun m ->
+        let b = Int64.(logor (shift_left (of_int e) 52) m) in
+        compare_at b;
+        compare_at (Int64.logor b Int64.min_int))
+      [ 0L; 1L; 0x8000000000000L; 0xFFFFFFFFFFFFEL; 0xFFFFFFFFFFFFFL ]
+  done;
+  let threshold = bits 0x1p-969 in
+  for k = -1000 to 1000 do
+    let b = Int64.add threshold (Int64.of_int k) in
+    compare_at b;
+    compare_at (Int64.logor b Int64.min_int)
+  done;
+  let rng = Random.State.make [| 20 |] in
+  for _ = 1 to 1_000_000 do
+    compare_at (Random.State.bits64 rng)
+  done;
+  Alcotest.(check int) "edges and random bit patterns" 0 !mismatches
+
 (* Regression: a -0.0 endpoint must be canonicalised to +0.0, else
    extended division flips the sign of the infinite end (1/-0 = -inf). *)
 let test_interval_signed_zero_division () =
@@ -700,6 +755,8 @@ let () =
       ( "interval",
         [
           Alcotest.test_case "construction" `Quick test_interval_construction;
+          Alcotest.test_case "ulp steps = Float.succ/pred" `Quick
+            test_interval_ulp_steps;
           Alcotest.test_case "signed-zero division" `Quick
             test_interval_signed_zero_division;
           Alcotest.test_case "division edges" `Quick test_interval_division_edges;

@@ -491,6 +491,73 @@ let test_warm_vs_cold_fronts_any_pool () =
             + warm.E.totals.E.exact_solves))
         [ 1; 4; 8 ])
 
+(* The explorer formats each store key from the design key a candidate
+   carries. Over every family, radix, signedness and depth, 1-8 copies,
+   all three flavors and fractional throughputs, the keys it files must be
+   byte for byte [Warm.problem_key] of each candidate problem and the
+   "design key|f:<hex f>" ledger grammar earlier stores were written in. *)
+let key_axes =
+  {
+    E.bits = 4;
+    families = [ E.Booth; E.Dadda; E.Wallace ];
+    radices = [ 2; 4; 8 ];
+    signednesses = [ B.Unsigned; B.Signed ];
+    stages = [ 1; 2; 3 ];
+    copies = [ 1; 2; 4; 8 ];
+    fmults = [ 0.3; 0.75; 1.5 ];
+    techs = Device.Technology.[ ll; hs; ull ];
+  }
+
+let test_explorer_store_keys () =
+  with_dir (fun dir ->
+      let st =
+        match W.open_store ~path:dir () with
+        | Some s -> s
+        | None -> Alcotest.fail "warm store failed to open"
+      in
+      let r = E.explore ~prune:false ~store:st key_axes in
+      let stored ns =
+        let acc = ref [] in
+        Store.iter st ~ns (fun k v -> acc := (k, v) :: !acc);
+        !acc
+      in
+      let opt = stored W.ns_opt and ledger = stored W.ns_ledger in
+      Store.close st;
+      let problems = E.problems key_axes in
+      Alcotest.(check int) "the whole space" (E.space_size key_axes)
+        (List.length problems);
+      Alcotest.(check int) "every candidate solved or replayed"
+        (List.length problems)
+        (r.E.totals.E.exact_solves + r.E.totals.E.store_hits);
+      Alcotest.(check (list string)) "opt keys = Warm.problem_key"
+        (List.sort_uniq String.compare (List.map W.problem_key problems))
+        (List.sort String.compare (List.map fst opt));
+      let ledger_key (p : Pl.problem) =
+        Printf.sprintf "%s|f:%h" (W.design_key p) p.Pl.f
+      in
+      let expected = List.map ledger_key problems in
+      List.iter
+        (fun (k, _) ->
+          if not (List.mem k expected) then
+            Alcotest.failf "ledger key of no candidate: %s" k)
+        ledger;
+      let feasible =
+        List.filter
+          (fun p ->
+            match W.decode_opt (List.assoc (W.problem_key p) opt) with
+            | Some (Some _) -> true
+            | _ -> false)
+          problems
+      in
+      Alcotest.(check bool) "some candidates are feasible" true
+        (feasible <> []);
+      List.iter
+        (fun p ->
+          if not (List.mem_assoc (ledger_key p) ledger) then
+            Alcotest.failf "feasible candidate without a ledger key: %s"
+              (ledger_key p))
+        feasible)
+
 let test_solver_store_paths () =
   with_dir (fun dir ->
       let st =
@@ -563,6 +630,8 @@ let () =
         [
           Alcotest.test_case "warm = cold fronts bitwise at -j 1/4/8" `Quick
             test_warm_vs_cold_fronts_any_pool;
+          Alcotest.test_case "explorer store keys" `Quick
+            test_explorer_store_keys;
           Alcotest.test_case "stored solver paths" `Quick
             test_solver_store_paths;
         ] );
