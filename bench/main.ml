@@ -126,19 +126,19 @@ let bench_diag_cycles_reference =
   let drive_ref sim bus value =
     Array.iteri
       (fun i net ->
-        Logicsim.Reference.set_input sim net
+        Oracles.Reference.set_input sim net
           (Netlist.Logic.of_bool ((value lsr i) land 1 = 1)))
       bus
   in
   make_bench ~limit:60 "diag:cycles-only-wallace16-reference" (fun () ->
-      let sim = Logicsim.Reference.create spec.circuit in
+      let sim = Oracles.Reference.create spec.circuit in
       let rng = Numerics.Rng.create 7 in
       for _ = 1 to 26 do
         drive_ref sim spec.a_bus (Numerics.Rng.int rng 65536);
         drive_ref sim spec.b_bus (Numerics.Rng.int rng 65536);
-        Logicsim.Reference.settle sim;
-        Logicsim.Reference.clock_tick sim;
-        Logicsim.Reference.settle sim
+        Oracles.Reference.settle sim;
+        Oracles.Reference.clock_tick sim;
+        Oracles.Reference.settle sim
       done)
 
 let bench_activity_many =

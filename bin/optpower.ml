@@ -10,20 +10,34 @@ let csv_path_arg =
   let doc = "Also write the raw data to $(docv) as CSV." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
+(* Numeric flags with a domain: a value outside it is a usage error (exit
+   124) whose message names the flag, before any work starts. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected N >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | Some _ | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected a finite X > 0" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let jobs_arg =
   let doc =
     "Worker domains for parallel maps (default: $(b,OPTPOWER_JOBS) or the \
      machine's recommended domain count). Results are bitwise-identical at \
      any value; 1 forces sequential execution."
-  in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ | None ->
-          Error (`Msg (Printf.sprintf "invalid value '%s', expected N >= 1" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
   in
   Arg.(value & opt (some positive_int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -288,7 +302,8 @@ let table2_cmd =
 let fig1_cmd =
   let activities =
     let doc = "Comma-separated activity values for the curves." in
-    Arg.(value & opt (some (list float)) None & info [ "activities" ] ~doc)
+    Arg.(
+      value & opt (some (list positive_float)) None & info [ "activities" ] ~doc)
   in
   let run jobs obs activities =
     set_jobs jobs;
@@ -641,7 +656,9 @@ let trace_cmd =
 
 let check_cmd =
   let samples =
-    Arg.(value & opt int 4 & info [ "samples" ] ~doc:"Random pairs per design.")
+    Arg.(
+      value & opt (int_at_least 0) 4
+      & info [ "samples" ] ~doc:"Random pairs per design.")
   in
   let run samples =
     let all = Multipliers.Catalog.entries @ Multipliers.Catalog.extensions in
@@ -737,7 +754,7 @@ let yield_cmd =
 
 let thermal_cmd =
   let instances =
-    Arg.(value & opt int 2000
+    Arg.(value & opt positive_int 2000
          & info [ "instances" ]
              ~doc:"Multiplier instances on the die (one is thermally inert).")
   in

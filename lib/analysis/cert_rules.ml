@@ -160,7 +160,7 @@ let certificate ~label (problem : Pl.problem) =
          checked against the perturbed problem's own certificate. *)
       let problem' = Pl.at_frequency problem ~f:(problem.Pl.f *. 1.02) in
       let cert' = Ab.certify (Ab.box problem') in
-      let warm = Power_core.Numerical_opt.optimum_warm ~from:optimum problem' in
+      let warm = Power_core.Numerical_opt.optimum ~from:optimum problem' in
       let ok =
         in_bracket cert'.Ab.vdd_bracket warm.Pl.vdd
         && warm.Pl.total <= cert'.Ab.ptot.Iv.hi *. (1.0 +. 1e-6)

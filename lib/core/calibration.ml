@@ -83,11 +83,7 @@ let fit_cap_scale tech ~f ~rows =
            let problem =
              problem_of_wallace_row tech ~f ~ll_row ~target ~cap_scale:scale
            in
-           let optimum =
-             match warm.(i) with
-             | None -> Numerical_opt.optimum problem
-             | Some from -> Numerical_opt.optimum_warm ~from problem
-           in
+           let optimum = Numerical_opt.optimum ?from:warm.(i) problem in
            warm.(i) <- Some optimum;
            let rel = (optimum.total -. target.w_ptot) /. target.w_ptot in
            rel *. rel)

@@ -48,11 +48,7 @@ let minimum_energy_point ?(f_lo = 0.1e6) ?(f_hi = 500e6) problem =
   let warm = ref None in
   let optimum_at f =
     let p = Power_law.at_frequency problem ~f in
-    let opt =
-      match !warm with
-      | None -> Numerical_opt.optimum p
-      | Some from -> Numerical_opt.optimum_warm ~from p
-    in
+    let opt = Numerical_opt.optimum ?from:!warm p in
     warm := Some opt;
     opt
   in

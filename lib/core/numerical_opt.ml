@@ -16,7 +16,6 @@ let c_seeded_solves = Obs.Counter.make "opt.seeded_solves"
 let c_brent_iters = Obs.Counter.make "opt.brent_iters"
 let c_seed_fallbacks = Obs.Counter.make "opt.seed_fallbacks"
 let c_sweep_points = Obs.Counter.make "opt.sweep_points"
-let c_grid2_solves = Obs.Counter.make "opt.grid2_solves"
 
 let default_vdd_lo, default_vdd_hi = Power_law.vdd_search_range
 
@@ -71,51 +70,30 @@ let eq13_seed ~vdd_lo ~vdd_hi (problem : Power_law.problem) =
     then Some cf.vdd_opt
     else None
 
-let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
-    ?(samples = 256) problem =
-  match eq13_seed ~vdd_lo ~vdd_hi problem with
-  | Some seed ->
-    Obs.Span.with_ ~name:"opt.solve" (fun () ->
-        let r =
-          solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale:0.05
-            (ptot_on_constraint problem)
-        in
-        Power_law.at problem ~vdd:r.x)
-  | None ->
-    Obs.Counter.incr c_seed_fallbacks;
-    optimum_grid ~vdd_lo ~vdd_hi ~samples problem
-
 let warm_solve ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ~from f =
   Obs.Span.with_ ~name:"opt.solve" (fun () ->
       solve_seeded ~vdd_lo ~vdd_hi ~seed:from ~scale:0.02 f)
 
-let optimum_warm ?vdd_lo ?vdd_hi ~from:(from : point) problem =
-  let r =
-    warm_solve ?vdd_lo ?vdd_hi ~from:from.vdd (ptot_on_constraint problem)
-  in
-  Power_law.at problem ~vdd:r.x
-
-let c_store_hits = Obs.Counter.make "opt.store_hits"
-let c_store_misses = Obs.Counter.make "opt.store_misses"
-
-(* Keys for the solver namespace carry the search bracket too: a solve is
-   only replayable when the bracket — which shapes the result — matches. *)
-let solve_key ~vdd_lo ~vdd_hi problem =
-  Printf.sprintf "%s|b:%h %h" (Warm.problem_key problem) vdd_lo vdd_hi
-
-let optimum_stored ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
-    ~store problem =
-  let key = solve_key ~vdd_lo ~vdd_hi problem in
-  match Option.bind (Store.find store ~ns:Warm.ns_solve key) Warm.decode_point
-  with
-  | Some p ->
-      Obs.Counter.incr c_store_hits;
-      p
-  | None ->
-      Obs.Counter.incr c_store_misses;
-      let p = optimum ~vdd_lo ~vdd_hi problem in
-      Store.put store ~ns:Warm.ns_solve key (Warm.encode_point p);
-      p
+let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
+    ?(samples = 256) ?from problem =
+  match (from : point option) with
+  | Some from ->
+    let r =
+      warm_solve ~vdd_lo ~vdd_hi ~from:from.vdd (ptot_on_constraint problem)
+    in
+    Power_law.at problem ~vdd:r.x
+  | None -> (
+    match eq13_seed ~vdd_lo ~vdd_hi problem with
+    | Some seed ->
+      Obs.Span.with_ ~name:"opt.solve" (fun () ->
+          let r =
+            solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale:0.05
+              (ptot_on_constraint problem)
+          in
+          Power_law.at problem ~vdd:r.x)
+    | None ->
+      Obs.Counter.incr c_seed_fallbacks;
+      optimum_grid ~vdd_lo ~vdd_hi ~samples problem)
 
 (* The one warm-chain loop: a contiguous run of related problems solved
    sequentially on the calling domain, each solve warm-started from its
@@ -126,16 +104,10 @@ let optimum_stored ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
    nominal optimum (keeping them off the Eq. 13 seeding path, whose
    per-alpha linearization memo would otherwise grow without bound under
    continuously varying alpha). *)
-let solve_chain_into ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
-    ?head ~problem_of ~n ~write () =
+let solve_chain_into ?vdd_lo ?vdd_hi ?head ~problem_of ~n ~write () =
   let prev = ref head in
   for i = 0 to n - 1 do
-    let problem = problem_of i in
-    let pt =
-      match !prev with
-      | None -> optimum ~vdd_lo ~vdd_hi problem
-      | Some p -> optimum_warm ~vdd_lo ~vdd_hi ~from:p problem
-    in
+    let pt = optimum ?vdd_lo ?vdd_hi ?from:!prev (problem_of i) in
     prev := Some pt;
     write i pt
   done
@@ -147,42 +119,24 @@ let solve_chain_into ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
    of the result, are identical at any [-j]. *)
 let continuation_chunk = 16
 
-let continuation_chains ?vdd_lo ?vdd_hi ~problem_of items =
+let optima_continued ?pool ?vdd_lo ?vdd_hi ~problem_of items =
   let arr = Array.of_list items in
   let n = Array.length arr in
-  List.init ((n + continuation_chunk - 1) / continuation_chunk) (fun c ->
-      let start = c * continuation_chunk in
-      fun () ->
-        let acc = ref [] in
-        solve_chain_into ?vdd_lo ?vdd_hi
-          ~problem_of:(fun k -> problem_of arr.(start + k))
-          ~n:(Stdlib.min continuation_chunk (n - start))
-          ~write:(fun _ pt -> acc := pt :: !acc)
-          ();
-        List.rev !acc)
-
-let optima_continued ?pool ?vdd_lo ?vdd_hi ~problem_of items =
+  let chain start =
+    let acc = ref [] in
+    solve_chain_into ?vdd_lo ?vdd_hi
+      ~problem_of:(fun k -> problem_of arr.(start + k))
+      ~n:(Stdlib.min continuation_chunk (n - start))
+      ~write:(fun _ pt -> acc := pt :: !acc)
+      ();
+    List.rev !acc
+  in
   Obs.Span.with_ ~name:"opt.continued" (fun () ->
       List.concat
-        (Parallel.Pool.map ?pool
-           (fun chain -> chain ())
-           (continuation_chains ?vdd_lo ?vdd_hi ~problem_of items)))
-
-let optimum_grid2 ?(vdd_range = Power_law.vdd_search_range)
-    ?(vth_range = (-0.2, 0.8)) ?(samples = 400) problem =
-  let vdd_lo, vdd_hi = vdd_range and vth_lo, vth_hi = vth_range in
-  let cost vdd vth =
-    if vdd <= 0.0 || not (Power_law.meets_timing problem ~vdd ~vth) then
-      infinity
-    else (Power_law.at_free problem ~vdd ~vth).total
-  in
-  let r =
-    Obs.Span.with_ ~name:"opt.grid2" (fun () ->
-        Numerics.Minimize.grid2 ~f:cost ~x0_range:(vdd_lo, vdd_hi)
-          ~x1_range:(vth_lo, vth_hi) ~samples)
-  in
-  Obs.Counter.incr c_grid2_solves;
-  Power_law.at_free problem ~vdd:r.x0 ~vth:r.x1
+        (Parallel.Pool.map ?pool chain
+           (List.init
+              ((n + continuation_chunk - 1) / continuation_chunk)
+              (fun c -> c * continuation_chunk))))
 
 (* Fixed-size index chunks cut the pool's per-task overhead on fine-grained
    sweeps; each point is still a pure function of its index, so the sweep

@@ -99,7 +99,7 @@ val meets_timing : problem -> vdd:float -> vth:float -> bool
 
 val vdd_search_range : float * float
 (** The default supply bracket [(0.05, 3.0)] V shared by every optimiser —
-    {!Numerical_opt.optimum}, {!Numerical_opt.optimum_grid2} and the
+    {!Numerical_opt.optimum}, {!Numerical_opt.optimum_grid} and the
     static-analysis sweep-bracket rule all search this range unless told
     otherwise, so a result on its boundary always means "widen the
     bracket", never a range mismatch between layers. *)

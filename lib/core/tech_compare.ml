@@ -23,10 +23,7 @@ let evaluate ?(reference = Device.Technology.ll) ?warm_from tech ~f params =
     match closed_form with
     | None -> None
     | Some _ ->
-      Some
-        (match warm_from with
-        | Some from -> Numerical_opt.optimum_warm ~from problem
-        | None -> Numerical_opt.optimum problem)
+      Some (Numerical_opt.optimum ?from:warm_from problem)
   in
   { tech; closed_form; numerical }
 

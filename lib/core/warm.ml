@@ -84,12 +84,6 @@ let problem_key p = problem_key_of_design ~design_key:(design_key p) p
 let encode_point (b : Power_law.breakdown) =
   encode_floats [ b.vdd; b.vth; b.dynamic; b.static; b.total ]
 
-let decode_point s =
-  match decode_floats s with
-  | Some [ vdd; vth; dynamic; static; total ] ->
-      Some { Power_law.vdd; vth; dynamic; static; total }
-  | _ -> None
-
 let encode_opt = function
   | None -> "I"
   | Some (point, cert_lo) ->

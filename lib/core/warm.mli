@@ -42,9 +42,11 @@ val ns_ledger : string
 (** Certified lower bounds, keyed by (design, frequency slice). *)
 
 val ns_solve : string
-(** Standalone solver optima ({!Numerical_opt.optimum_stored}), keyed by
-    problem plus search bracket. Separate from {!ns_opt} because these
-    records carry no certificate. *)
+(** Retired namespace of standalone solver optima (problem plus search
+    bracket, no certificate). Nothing writes it any more: a seeded solve
+    costs about what a store lookup and put do. Records left in older
+    stores are inert. Still exported for the benchmark's store statistics,
+    which list every namespace. *)
 
 (** {2 Codecs — exact hex-float round-trips} *)
 
@@ -62,9 +64,6 @@ val problem_key_of_design : design_key:string -> Power_law.problem -> string
 (** {!problem_key} from an already formatted [design_key] (which must be
     [design_key p]): the same bytes, without formatting the technology
     and architecture fields again. *)
-
-val encode_point : Power_law.breakdown -> string
-val decode_point : string -> Power_law.breakdown option
 
 val encode_opt : (Power_law.breakdown * float) option -> string
 (** A stored exact-solve outcome: the optimum plus its certified lower

@@ -21,18 +21,3 @@ let delay_scaling (tech : Technology.t) ~vdd ~vth =
       ~vth:(Technology.vth_nom_effective tech)
   in
   gate_delay tech ~zeta:1.0 ~vdd ~vth /. nominal
-
-(* Interval lifts. The scalar technology constants stay points; only the
-   operating point (vdd, vth) widens to a box. *)
-
-module Iv = Numerics.Interval
-
-let off_current_iv (tech : Technology.t) ~vth =
-  Iv.scale tech.io (Iv.exp (Iv.scale (-1.0 /. Technology.n_ut tech) vth))
-
-let on_current_iv (tech : Technology.t) ~vdd ~vth =
-  let over = Iv.sub vdd vth in
-  if over.Iv.lo <= 0.0 then
-    invalid_arg "Alpha_power.on_current_iv: vdd box must exceed vth box";
-  Iv.scale tech.io
-    (Iv.pow_scalar (Iv.scale (overdrive_scale tech) over) tech.alpha)

@@ -25,18 +25,3 @@ val delay_scaling : Technology.t -> vdd:float -> vth:float -> float
 (** Delay relative to the nominal operating point:
     [t(vdd, vth) / t(vdd_nom, vth_nom_effective)]. Both points use effective
     thresholds; ζ cancels. Used to scale a measured nominal critical path. *)
-
-val off_current_iv :
-  Technology.t -> vth:Numerics.Interval.t -> Numerics.Interval.t
-(** Sound enclosure of {!off_current} over a threshold box. *)
-
-val on_current_iv :
-  Technology.t ->
-  vdd:Numerics.Interval.t ->
-  vth:Numerics.Interval.t ->
-  Numerics.Interval.t
-(** Sound enclosure of {!on_current} over an operating-point box. The
-    naive [vdd - vth] overdrive ignores the (vdd, vth) correlation — use
-    the affine machinery in {!Numerics.Interval.Affine} when the two are
-    functionally linked. @raise Invalid_argument when the overdrive box
-    is not strictly positive. *)

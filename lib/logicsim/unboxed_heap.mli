@@ -9,8 +9,8 @@
     steady-state operation never allocates (retired FIFO storage is pooled
     and reused).
 
-    Pop order is the (time, insertion order) total order, exactly like
-    {!Event_queue}: entries at bit-identical times drain FIFO, buckets
+    Pop order is the (time, insertion order) total order, exactly like the
+    reference simulator's boxed queue in the test oracles: entries at bit-identical times drain FIFO, buckets
     drain in ascending time order. A kernel built on either queue commits
     events in the same sequence. Times must not be NaN. Popping deposits
     the entry into three scratch cells read with

@@ -183,20 +183,3 @@ let seeded_bracket ?(tol = 1e-10) ?(max_iter = 200) ?(grow = 2.0) ~f ~x0
     (* Could not establish unimodality around the seed — fall back to the
        robust whole-interval search. *)
     golden_section ~tol ~max_iter ~f lo hi
-
-type result2 = { x0 : float; x1 : float; fx2 : float }
-
-let grid2 ~f ~x0_range:(a0, b0) ~x1_range:(a1, b1) ~samples =
-  if samples < 2 then invalid_arg "Minimize.grid2: samples < 2";
-  let s0 = (b0 -. a0) /. float_of_int (samples - 1) in
-  let s1 = (b1 -. a1) /. float_of_int (samples - 1) in
-  let best = ref { x0 = a0; x1 = a1; fx2 = infinity } in
-  for i = 0 to samples - 1 do
-    let x0 = a0 +. (float_of_int i *. s0) in
-    for j = 0 to samples - 1 do
-      let x1 = a1 +. (float_of_int j *. s1) in
-      let v = f x0 x1 in
-      if v < !best.fx2 then best := { x0; x1; fx2 = v }
-    done
-  done;
-  !best

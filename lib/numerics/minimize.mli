@@ -51,15 +51,3 @@ val seeded_bracket :
     @param tol absolute tolerance on [x] (default [1e-10]).
     @raise Invalid_argument if [lo >= hi], [scale] is not positive and
     finite, or [grow <= 1]. *)
-
-type result2 = { x0 : float; x1 : float; fx2 : float }
-
-val grid2 :
-  f:(float -> float -> float) ->
-  x0_range:float * float ->
-  x1_range:float * float ->
-  samples:int ->
-  result2
-(** Exhaustive 2-D grid minimisation; returns the best sample. Used for the
-    brute-force (Vdd, Vth) reference optimum that validates the constrained
-    1-D search. *)

@@ -12,17 +12,14 @@ let sweep ?pool ~tech ~samples ~vdd_lo ~vdd_hi arch =
 
 (* Sorting is stable and the solve order is the catalog order, so ties
    (there are none today, but the contract matters) stay deterministic. *)
-let rank_sort pairs =
-  List.stable_sort
-    (fun (_, (a : N.point)) (_, (b : N.point)) ->
-      Float.compare a.total b.total)
-    pairs
-
 let rank ?pool ~tech archs =
   let points =
     N.optima_continued ?pool ~problem_of:(problem_of_label tech) archs
   in
-  rank_sort (List.combine archs points)
+  List.stable_sort
+    (fun (_, (a : N.point)) (_, (b : N.point)) ->
+      Float.compare a.total b.total)
+    (List.combine archs points)
 
 let lint ?pool ?only () =
   let report = Analysis.Engine.run ?pool () in
@@ -195,10 +192,7 @@ let store_stats_json store =
 let run_call ?pool ?store (call : Protocol.call) =
   match call with
   | Protocol.Optimum { tech; arch } ->
-    optimum_json ~tech ~arch
-      (match store with
-      | None -> optimum ~tech arch
-      | Some st -> N.optimum_stored ~store:st (problem_of_label tech arch))
+    optimum_json ~tech ~arch (optimum ~tech arch)
   | Protocol.Sweep { tech; arch; samples; vdd_lo; vdd_hi } ->
     sweep_json ~tech ~arch (sweep ?pool ~tech ~samples ~vdd_lo ~vdd_hi arch)
   | Protocol.Rank { tech; archs } -> rank_json ~tech (rank ?pool ~tech archs)

@@ -30,13 +30,6 @@ val sweep :
 (** Ptot(Vdd) locus for one architecture ({!Protocol.call}'s [Sweep]
     holds the defaults). *)
 
-val rank_sort :
-  (string * Power_core.Numerical_opt.point) list ->
-  (string * Power_core.Numerical_opt.point) list
-(** Stable sort by ascending optimal Ptot — the ordering step of {!rank},
-    exposed so the batched session can rebuild a rank reply from chunk
-    results. *)
-
 val rank :
   ?pool:Parallel.Pool.t ->
   tech:Device.Technology.t ->

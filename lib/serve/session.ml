@@ -1,5 +1,3 @@
-module N = Power_core.Numerical_opt
-
 exception Shutting_down
 
 type config = {
@@ -43,11 +41,12 @@ type t = {
   mutable memo : (Protocol.call, Json.t) Parallel.Memo.t option;
 }
 
-(* A batch is planned as a flat list of work units, each writing into its
-   own result cell, plus one [finish] closure per request that assembles
-   the reply from its cells. Units are a pure function of their request
-   alone — never of what else is in the batch — which is what makes the
-   batched replies bitwise-equal to the one-shot paths (see the .mli). *)
+(* A batch is planned as a flat list of work units — one per request, none
+   for [store_stats] — each writing into its own result cell, plus one
+   [finish] closure per request that reads the reply from its cell. Units
+   are a pure function of their request alone — never of what else is in
+   the batch — which is what makes the batched replies bitwise-equal to
+   the one-shot paths (see the .mli). *)
 
 let guard f = try Ok (f ()) with e -> Error e
 
@@ -64,20 +63,6 @@ let deferred f =
 
 let plan ?store pool (call : Protocol.call) =
   match call with
-  | Protocol.Rank { tech; archs } ->
-    (* One unit per continuation chain: the very thunks a one-shot
-       [optima_continued] maps through its pool. *)
-    let units, chains =
-      List.split
-        (List.map deferred
-           (N.continuation_chains
-              ~problem_of:(Engine.problem_of_label tech) archs))
-    in
-    ( units,
-      fun () ->
-        let points = List.concat_map (fun chain -> chain ()) chains in
-        Engine.rank_json ~tech (Engine.rank_sort (List.combine archs points))
-    )
   | Protocol.Store_stats ->
     (* Pure introspection: no pool work, assembled at finish time so the
        reply reflects the store state after the co-batched work ran. *)

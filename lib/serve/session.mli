@@ -9,15 +9,14 @@
     dispatcher, which drains up to [max_batch] requests per cycle and runs
     {e all} of their work units through one {!Parallel.Pool.map} dispatch.
 
-    {b Bitwise equality.} A request's work units are a pure function of
-    that request alone: a [rank] contributes exactly the
-    {!Power_core.Numerical_opt.continuation_chains} thunks its own one-shot
-    [optima_continued] maps, [store_stats] is read at finish time, and
-    every other method is a single unit returning {!Engine.run_call} on
-    the session pool. Co-batched requests share only the pool dispatch,
-    never a warm-start chain, so every reply is bitwise-identical to
-    {!Engine.run_call} on an idle process, whatever the batch composition
-    or pool size.
+    {b Bitwise equality.} A request's work is a pure function of that
+    request alone: [store_stats] is read at finish time, and every other
+    method is a single unit returning {!Engine.run_call} on the session
+    pool (a [rank] of more than 16 architectures maps its continuation
+    chains through that pool from inside its unit). Co-batched requests
+    share only the pool dispatch, never a warm-start chain, so every reply
+    is bitwise-identical to {!Engine.run_call} on an idle process,
+    whatever the batch composition or pool size.
 
     {b Backpressure.} {!submit} blocks while the queue holds
     [queue_capacity] requests — overload slows clients down; nothing is
@@ -39,8 +38,8 @@ type config = {
   cache : bool;  (** Memoise replies by call (default [true]). *)
   store : Store.t option;
       (** Warm store opened once per process and owned by the session
-          ({!shutdown} closes it): [explore] and [optimum] answer warm
-          after a restart, and [store_stats] reports it (that call
+          ({!shutdown} closes it): [explore] answers warm after a
+          restart, and [store_stats] reports it (that call
           bypasses the result cache — its counters are live). Default
           [None] (cold). *)
 }

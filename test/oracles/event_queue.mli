@@ -6,9 +6,9 @@
 
     Stored as struct-of-arrays — times in a flat [float array], insertion
     orders in an [int array] — so a push allocates nothing beyond occasional
-    capacity doubling. {!Unboxed_heap} is the fully unboxed (int-payload)
-    variant the compiled kernel schedules through; this polymorphic form
-    backs the reference simulator and anything that needs boxed payloads. *)
+    capacity doubling. {!Logicsim.Unboxed_heap} is the fully unboxed
+    (int-payload) variant the compiled kernel schedules through; this
+    polymorphic form backs the reference simulator. *)
 
 type 'a t
 

@@ -3,7 +3,7 @@
     Evaluates a circuit cycle-accurately in topological order, ignoring all
     gate delays. Glitches never exist here, so it cannot measure activity —
     its job is to provide an independent oracle: after the event-driven
-    {!Simulator} settles, every net must agree with this evaluator
+    {!Logicsim.Simulator} settles, every net must agree with this evaluator
     (differential testing), and multi-cycle behaviour must match tick for
     tick. *)
 

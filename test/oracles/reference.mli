@@ -1,11 +1,12 @@
 (** Reference event-driven gate-level simulator (boxed representation).
 
     The original record-and-list kernel, kept as the semantic oracle for the
-    compiled kernel: the differential suite holds {!Compiled} (and the
-    bit-parallel engine) bitwise equal to this implementation — settled
+    compiled kernel: the differential suite holds {!Logicsim.Compiled}
+    (and the bit-parallel engine) bitwise equal to this implementation — settled
     values, per-cell toggle counts, committed-event counts and glitch
-    ratios. Production paths go through {!Simulator} (the compiled kernel);
-    nothing outside the tests should need this module.
+    ratios. Production paths go through {!Logicsim.Simulator} (the
+    compiled kernel); this module lives with the tests and the bench A/B
+    rows.
 
     Toggle accounting: a committed 0↔1 transition on a cell's output
     increments that cell's counter (X resolutions are not counted). The

@@ -106,8 +106,8 @@ let test_gate_delay_positive () =
 
 let test_linearization_matches_paper () =
   let lin = Device.Linearization.fit ~alpha:1.86 () in
-  check_close 5e-3 "A = 0.671" 0.671 lin.a;
-  check_close 5e-3 "B = 0.347" 0.347 lin.b
+  check_close 5e-3 "A = 0.671" Power_core.Paper_data.lin_a lin.a;
+  check_close 5e-3 "B = 0.347" Power_core.Paper_data.lin_b lin.b
 
 let test_linearization_error_small () =
   (* Figure 2 shows the fit hugging the curve; the worst deviation over the

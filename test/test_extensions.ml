@@ -159,7 +159,7 @@ let prop_event_sim_matches_functional =
       let rng = Numerics.Rng.create (seed + 1000) in
       let c = random_combinational_circuit rng ~inputs:6 ~cells:40 in
       let sim = Sim.create c in
-      let state = ref (Logicsim.Functional.initial c) in
+      let state = ref (Oracles.Functional.initial c) in
       let ok = ref true in
       for _ = 1 to 5 do
         let bindings =
@@ -169,9 +169,9 @@ let prop_event_sim_matches_functional =
         in
         List.iter (fun (n, v) -> Sim.set_input sim n v) bindings;
         Sim.settle sim;
-        state := Logicsim.Functional.set_inputs c !state bindings;
+        state := Oracles.Functional.set_inputs c !state bindings;
         for net = 0 to C.net_count c - 1 do
-          if not (Logic.equal (Sim.value sim net) (Logicsim.Functional.value !state net))
+          if not (Logic.equal (Sim.value sim net) (Oracles.Functional.value !state net))
           then ok := false
         done
       done;
@@ -182,7 +182,7 @@ let test_functional_clock_matches_simulator () =
   let spec = Multipliers.Sequential.basic ~bits:8 in
   let c = spec.circuit in
   let sim = Sim.create c in
-  let state = ref (Logicsim.Functional.initial c) in
+  let state = ref (Oracles.Functional.initial c) in
   let rng = Numerics.Rng.create 13 in
   for cycle = 1 to 40 do
     let bindings =
@@ -192,16 +192,16 @@ let test_functional_clock_matches_simulator () =
     in
     List.iter (fun (n, v) -> Sim.set_input sim n v) bindings;
     Sim.settle sim;
-    state := Logicsim.Functional.set_inputs c !state bindings;
+    state := Oracles.Functional.set_inputs c !state bindings;
     Sim.clock_tick sim;
     Sim.settle sim;
-    state := Logicsim.Functional.clock c !state;
+    state := Oracles.Functional.clock c !state;
     Array.iter
       (fun n ->
         Alcotest.(check bool)
           (Printf.sprintf "cycle %d net %d" cycle n)
           true
-          (Logic.equal (Sim.value sim n) (Logicsim.Functional.value !state n)))
+          (Logic.equal (Sim.value sim n) (Oracles.Functional.value !state n)))
       spec.p_bus
   done
 
@@ -210,10 +210,10 @@ let test_functional_validation () =
   let a = C.add_input c "a" in
   let y = C.add_gate c Cell.Inv [| a |] in
   C.mark_output c y "y";
-  let state = Logicsim.Functional.initial c in
+  let state = Oracles.Functional.initial c in
   Alcotest.(check bool)
     "non-input rejected" true
-    (match Logicsim.Functional.set_inputs c state [ (y, Logic.One) ] with
+    (match Oracles.Functional.set_inputs c state [ (y, Logic.One) ] with
     | _ -> false
     | exception Invalid_argument _ -> true)
 

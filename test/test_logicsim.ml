@@ -12,47 +12,47 @@ let value_t =
 (* Event_queue *)
 
 let test_queue_ordering () =
-  let q = Logicsim.Event_queue.create () in
-  Logicsim.Event_queue.push q ~time:3.0 "c";
-  Logicsim.Event_queue.push q ~time:1.0 "a";
-  Logicsim.Event_queue.push q ~time:2.0 "b";
+  let q = Oracles.Event_queue.create () in
+  Oracles.Event_queue.push q ~time:3.0 "c";
+  Oracles.Event_queue.push q ~time:1.0 "a";
+  Oracles.Event_queue.push q ~time:2.0 "b";
   let pop () =
-    match Logicsim.Event_queue.pop q with
+    match Oracles.Event_queue.pop q with
     | Some (_, x) -> x
     | None -> Alcotest.fail "queue empty"
   in
   Alcotest.(check string) "first" "a" (pop ());
   Alcotest.(check string) "second" "b" (pop ());
   Alcotest.(check string) "third" "c" (pop ());
-  Alcotest.(check bool) "empty" true (Logicsim.Event_queue.is_empty q)
+  Alcotest.(check bool) "empty" true (Oracles.Event_queue.is_empty q)
 
 let test_queue_fifo_ties () =
-  let q = Logicsim.Event_queue.create () in
-  List.iter (fun s -> Logicsim.Event_queue.push q ~time:1.0 s) [ "x"; "y"; "z" ];
+  let q = Oracles.Event_queue.create () in
+  List.iter (fun s -> Oracles.Event_queue.push q ~time:1.0 s) [ "x"; "y"; "z" ];
   let order =
     List.init 3 (fun _ ->
-        match Logicsim.Event_queue.pop q with
+        match Oracles.Event_queue.pop q with
         | Some (_, s) -> s
         | None -> "?")
   in
   Alcotest.(check (list string)) "insertion order on ties" [ "x"; "y"; "z" ] order
 
 let test_queue_peek () =
-  let q = Logicsim.Event_queue.create () in
+  let q = Oracles.Event_queue.create () in
   Alcotest.(check (option (float 0.0))) "empty peek" None
-    (Logicsim.Event_queue.peek_time q);
-  Logicsim.Event_queue.push q ~time:5.0 ();
+    (Oracles.Event_queue.peek_time q);
+  Oracles.Event_queue.push q ~time:5.0 ();
   Alcotest.(check (option (float 0.0))) "peek" (Some 5.0)
-    (Logicsim.Event_queue.peek_time q)
+    (Oracles.Event_queue.peek_time q)
 
 let prop_queue_sorts =
   QCheck.Test.make ~name:"pops are time-sorted" ~count:200
     QCheck.(list_of_size (Gen.int_range 0 50) (float_range 0.0 100.0))
     (fun times ->
-      let q = Logicsim.Event_queue.create () in
-      List.iter (fun t -> Logicsim.Event_queue.push q ~time:t ()) times;
+      let q = Oracles.Event_queue.create () in
+      List.iter (fun t -> Oracles.Event_queue.push q ~time:t ()) times;
       let rec drain last =
-        match Logicsim.Event_queue.pop q with
+        match Oracles.Event_queue.pop q with
         | None -> true
         | Some (t, ()) -> t >= last && drain t
       in
@@ -421,7 +421,7 @@ let prop_uheap_sorted =
    bit for bit — settled values, per-cell toggles, committed events, time —
    on every architecture of the catalog under identical stimulus. *)
 
-module Ref = Logicsim.Reference
+module Ref = Oracles.Reference
 module Compiled = Logicsim.Compiled
 module Bitpar = Logicsim.Bitpar
 

@@ -302,7 +302,7 @@ let test_replicated_matches_functional_oracle () =
   in
   let c = spec.circuit in
   let sim = Sim.create c in
-  let state = ref (Logicsim.Functional.initial c) in
+  let state = ref (Oracles.Functional.initial c) in
   let rng = Numerics.Rng.create 61 in
   for cycle = 1 to 24 do
     let bindings =
@@ -312,16 +312,16 @@ let test_replicated_matches_functional_oracle () =
     in
     List.iter (fun (n, v) -> Sim.set_input sim n v) bindings;
     Sim.settle sim;
-    state := Logicsim.Functional.set_inputs c !state bindings;
+    state := Oracles.Functional.set_inputs c !state bindings;
     Sim.clock_tick sim;
     Sim.settle sim;
-    state := Logicsim.Functional.clock c !state;
+    state := Oracles.Functional.clock c !state;
     Array.iter
       (fun n ->
         Alcotest.(check bool)
           (Printf.sprintf "cycle %d product bit %d" cycle n)
           true
-          (Logic.equal (Sim.value sim n) (Logicsim.Functional.value !state n)))
+          (Logic.equal (Sim.value sim n) (Oracles.Functional.value !state n)))
       spec.p_bus
   done
 

@@ -454,13 +454,13 @@ let test_optimize_xor_self_cancels () =
   let y = C.add_gate c Cell.Xor2 [| a; a |] in
   C.mark_output c y "y";
   let r = Netlist.Optimize.run c in
-  let state = Logicsim.Functional.initial r.circuit in
+  let state = Oracles.Functional.initial r.circuit in
   let state =
-    Logicsim.Functional.set_inputs r.circuit state [ (r.map a, Logic.One) ]
+    Oracles.Functional.set_inputs r.circuit state [ (r.map a, Logic.One) ]
   in
   Alcotest.(check bool)
     "XOR(a,a) folds to 0" true
-    (Logic.equal (Logicsim.Functional.value state (r.map y)) Logic.Zero)
+    (Logic.equal (Oracles.Functional.value state (r.map y)) Logic.Zero)
 
 let test_optimize_fa_downgrade () =
   let c = C.create "t" in
@@ -539,16 +539,16 @@ let prop_optimize_equivalent =
           List.map (fun n -> (n, Logic.of_bool (Numerics.Rng.bool rng))) inputs
         in
         let reference =
-          Logicsim.Functional.set_inputs c
-            (Logicsim.Functional.initial c)
+          Oracles.Functional.set_inputs c
+            (Oracles.Functional.initial c)
             bindings
         in
         let mapped_bindings =
           List.map (fun (n, v) -> (r.map n, v)) bindings
         in
         let optimised =
-          Logicsim.Functional.set_inputs r.circuit
-            (Logicsim.Functional.initial r.circuit)
+          Oracles.Functional.set_inputs r.circuit
+            (Oracles.Functional.initial r.circuit)
             mapped_bindings
         in
         List.iter
@@ -556,8 +556,8 @@ let prop_optimize_equivalent =
             if
               not
                 (Logic.equal
-                   (Logicsim.Functional.value reference n)
-                   (Logicsim.Functional.value optimised (r.map n)))
+                   (Oracles.Functional.value reference n)
+                   (Oracles.Functional.value optimised (r.map n)))
             then ok := false)
           outputs
       done;

@@ -264,7 +264,7 @@ let test_grid_then_golden_multimodal () =
 
 let test_grid2_bowl () =
   let r =
-    Numerics.Minimize.grid2
+    Oracles.Grid2.minimize
       ~f:(fun x y -> ((x -. 1.0) ** 2.0) +. ((y +. 2.0) ** 2.0))
       ~x0_range:(-5.0, 5.0) ~x1_range:(-5.0, 5.0) ~samples:101
   in

@@ -150,8 +150,8 @@ let test_grid2_agrees_with_constrained () =
   let problem = rca_problem () in
   let opt1 = Power_core.Numerical_opt.optimum problem in
   let opt2 =
-    Power_core.Numerical_opt.optimum_grid2 ~vdd_range:(0.2, 1.0)
-      ~vth_range:(0.05, 0.5) ~samples:220 problem
+    Oracles.Grid2.optimum ~vdd_range:(0.2, 1.0) ~vth_range:(0.05, 0.5)
+      ~samples:220 problem
   in
   Alcotest.(check bool)
     (Printf.sprintf "within 2%% (%.2f vs %.2f uW)" (opt1.total *. 1e6)

@@ -389,11 +389,21 @@ let test_store_stats () =
   (match Json.member "enabled" before with
   | Some (Json.Bool true) -> ()
   | _ -> Alcotest.fail "store-backed session must report enabled:true");
-  let solved =
-    Session.submit session (call_of "optimum" [ ("arch", Json.Str "RCA") ])
+  let explore =
+    call_of "explore"
+      [
+        ("bits", Json.Num 4.0);
+        ("families", Json.Str "booth");
+        ("radices", Json.Arr [ Json.Num 4.0 ]);
+        ("stages", Json.Arr [ Json.Num 1.0 ]);
+        ("copies", Json.Arr [ Json.Num 1.0 ]);
+        ("fmults", Json.Arr [ Json.Num 1.0 ]);
+        ("tech", Json.Str "LL");
+      ]
   in
+  let explored = Session.submit session explore in
   let after = stats () in
-  Alcotest.(check bool) "the solve wrote through to the store" true
+  Alcotest.(check bool) "the exploration wrote through to the store" true
     (num "puts" after > num "puts" before);
   (* Live counters: the session memo is on, so if store_stats were
      cached the second reply would be a frozen copy of the first. *)
@@ -401,12 +411,16 @@ let test_store_stats () =
     (num "entries" after >= num "entries" before
     && not (Json.equal before after));
   (* A warm replay through the same store (one-shot path, no session
-     memo involved) answers bitwise-identically to the cold solve. *)
+     memo involved) answers with bitwise-identical fronts; only the
+     funnel's store_hits / exact_solves split moves. *)
   Option.iter
     (fun st ->
-      check_json "warm replay = cold solve" solved
-        (Engine.run_call ~store:st
-           (call_of "optimum" [ ("arch", Json.Str "RCA") ])))
+      let warm = Engine.run_call ~store:st explore in
+      let slices reply = Option.get (Json.member "slices" reply) in
+      check_json "warm replay fronts = cold fronts" (slices explored)
+        (slices warm);
+      Alcotest.(check bool) "the replay was warm" true
+        (num "store_hits" (Option.get (Json.member "totals" warm)) > 0))
     store
 
 (* Wire JSON round-trips: 200 seeded random documents must survive

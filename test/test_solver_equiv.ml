@@ -76,7 +76,7 @@ let test_seeded_matches_grid () =
              off) must still fall into the same basin. *)
           let off = 0.90 +. Numerics.Rng.float rng 0.2 in
           let from = Pl.at problem ~vdd:(seeded.Pl.vdd *. off) in
-          let warm = N.optimum_warm ~from problem in
+          let warm = N.optimum ~from problem in
           check_close ~what:"warm vdd" ~tol:1e-6 problem oracle.Pl.vdd
             warm.Pl.vdd;
           check_close ~what:"warm ptot" ~tol:1e-6 problem oracle.Pl.total

@@ -1,7 +1,7 @@
 (* The warm-store suite: crash recovery, lock contention, corruption
    fallback and fingerprint invalidation for [Store]; exact-codec
    round-trips for [Power_core.Warm]; and the bitwise warm-vs-cold
-   differentials over the explorer and the stored solver paths.
+   differentials over the explorer.
 
    Also runnable alone: dune build @store
 
@@ -374,11 +374,6 @@ let test_point_and_opt_codec () =
   let pbits (b : Pl.breakdown) =
     bits_of [ b.Pl.vdd; b.Pl.vth; b.Pl.dynamic; b.Pl.static; b.Pl.total ]
   in
-  (match W.decode_point (W.encode_point p) with
-  | None -> Alcotest.fail "point failed to decode"
-  | Some q ->
-      Alcotest.(check (list int64)) "point round-trip bitwise" (pbits p)
-        (pbits q));
   (match W.decode_opt (W.encode_opt (Some (p, p.Pl.total *. 0.5))) with
   | Some (Some (q, lo)) ->
       Alcotest.(check (list int64)) "stored outcome point bitwise" (pbits p)
@@ -558,41 +553,6 @@ let test_explorer_store_keys () =
               (ledger_key p))
         feasible)
 
-let test_solver_store_paths () =
-  with_dir (fun dir ->
-      let st =
-        match W.open_store ~path:dir () with
-        | Some s -> s
-        | None -> Alcotest.fail "warm store failed to open"
-      in
-      Fun.protect
-        ~finally:(fun () -> Store.close st)
-        (fun () ->
-          let row = List.hd P.table1 in
-          let problem =
-            Power_core.Calibration.problem_of_row Device.Technology.ll
-              ~f:P.frequency row
-          in
-          let bits (p : Pl.breakdown) =
-            Printf.sprintf "%h %h %h %h %h" p.Pl.vdd p.Pl.vth p.Pl.dynamic
-              p.Pl.static p.Pl.total
-          in
-          let cold = N.optimum problem in
-          let first = N.optimum_stored ~store:st problem in
-          Alcotest.(check string) "store miss = cold solve bits" (bits cold)
-            (bits first);
-          Alcotest.(check string) "store hit replays the same bits" (bits cold)
-            (bits (N.optimum_stored ~store:st problem));
-          (* The same design pushed 7% in throughput (a fixed design at a
-             scaled f, the explorer's sweep shape — [problem_of_row] would
-             recalibrate the capacitances and change the design identity)
-             is a different key: it misses, solves cold and lands in the
-             store bitwise-safely. *)
-          let near = { problem with Pl.f = problem.Pl.f *. 1.07 } in
-          Alcotest.(check string) "near-miss path = its own cold bits"
-            (bits (N.optimum near))
-            (bits (N.optimum_stored ~store:st near))))
-
 let () =
   Alcotest.run "store"
     [
@@ -632,7 +592,5 @@ let () =
             test_warm_vs_cold_fronts_any_pool;
           Alcotest.test_case "explorer store keys" `Quick
             test_explorer_store_keys;
-          Alcotest.test_case "stored solver paths" `Quick
-            test_solver_store_paths;
         ] );
     ]
