@@ -506,7 +506,7 @@ let pretty_estimate estimate =
      serve:latency-p50-p99:p99      p99 under the 32-client fleet
 
    Clients are closed-loop (at most one request in flight each), so the
-   fleet measures queueing plus batch-amortised dispatch, not an unbounded
+   fleet measures queueing plus pooled dispatch, not an unbounded
    pipeline. The result cache is off and every client walks a different
    stride of the label catalog, so each request does real solver work.
    The fleet run keeps the best-of-3 percentile pair: the contract is
@@ -519,10 +519,7 @@ let serve_labels =
        Power_core.Paper_data.table1)
 
 let serve_with_session ~cache f =
-  let config =
-    { Serve.Session.jobs = None; queue_capacity = 64; max_batch = 32; cache;
-      store = None }
-  in
+  let config = { Serve.Session.default_config with cache } in
   let session = Serve.Session.create ~config () in
   Fun.protect
     ~finally:(fun () -> Serve.Session.shutdown session)

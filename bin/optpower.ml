@@ -326,10 +326,10 @@ let fig2_cmd =
 
 let sketch_cmd =
   let bits =
-    Arg.(value & opt int 8 & info [ "bits" ] ~doc:"Operand width.")
+    Arg.(value & opt (int_at_least 2) 8 & info [ "bits" ] ~doc:"Operand width.")
   in
   let stages =
-    Arg.(value & opt int 2 & info [ "stages" ] ~doc:"Pipeline stages.")
+    Arg.(value & opt positive_int 2 & info [ "stages" ] ~doc:"Pipeline stages.")
   in
   let run bits stages =
     print
@@ -452,8 +452,9 @@ let extensions_cmd =
 
 let prove_cmd =
   let bits =
-    Arg.(value & opt int 8 & info [ "bits" ] ~doc:"Operand width (BDDs of \
-                                                   multipliers grow fast).")
+    Arg.(
+      value & opt (int_at_least 2) 8
+      & info [ "bits" ] ~doc:"Operand width (BDDs of multipliers grow fast).")
   in
   let run bits =
     let build name core =
@@ -493,7 +494,7 @@ let prove_cmd =
 
 let faults_cmd =
   let bits =
-    Arg.(value & opt int 8 & info [ "bits" ] ~doc:"Operand width.")
+    Arg.(value & opt (int_at_least 2) 8 & info [ "bits" ] ~doc:"Operand width.")
   in
   let vectors =
     Arg.(value & opt int 32 & info [ "vectors" ] ~doc:"Random test vectors.")
@@ -1074,39 +1075,17 @@ let rank_cmd =
       $ call_term "rank" [ archs_param; tech_param ])
 
 let serve_cmd =
-  let queue =
-    Arg.(
-      value & opt int 64
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Bounded request-queue capacity; submitters block when it is \
-             full (backpressure, nothing is dropped).")
-  in
-  let batch =
-    Arg.(
-      value & opt int 32
-      & info [ "max-batch" ] ~docv:"N"
-          ~doc:"Max concurrent requests coalesced into one pool dispatch.")
-  in
   let no_cache =
     Arg.(
       value & flag
       & info [ "no-cache" ]
           ~doc:"Disable the session result cache (identical calls re-solve).")
   in
-  let run jobs obs socket queue batch no_cache store_path no_store =
+  let run jobs obs socket no_cache store_path no_store =
     set_jobs jobs;
     with_obs obs @@ fun () ->
     let store = open_warm ~no_store store_path in
-    let config =
-      {
-        Serve.Session.jobs;
-        queue_capacity = queue;
-        max_batch = batch;
-        cache = not no_cache;
-        store;
-      }
-    in
+    let config = { Serve.Session.jobs; cache = not no_cache; store } in
     (* Block the shutdown signals before spawning any thread (the mask is
        inherited) and dedicate a watcher thread to them: with every
        systhread parked in a blocking syscall an asynchronous
@@ -1133,14 +1112,14 @@ let serve_cmd =
   in
   let doc =
     "Run the resident batch solve service: JSON-lines requests over a Unix \
-     socket, coalesced across clients into shared pool dispatches, warm \
+     socket, each one pool task answered as soon as it finishes, warm \
      answers from the on-disk store across restarts. SIGINT or SIGTERM \
      drains gracefully and exits."
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ jobs_arg $ obs_arg $ socket_arg $ queue $ batch $ no_cache
-      $ store_path_arg $ no_store_arg)
+      const run $ jobs_arg $ obs_arg $ socket_arg $ no_cache $ store_path_arg
+      $ no_store_arg)
 
 let store_cmd =
   let action =

@@ -73,13 +73,11 @@ val certify_json : Report.Certify_report.row list -> Json.t
 val explore_json : Power_core.Explorer.result -> Json.t
 (** Pareto fronts per slice plus the prune funnel totals. *)
 
-val store_stats_json : Store.t option -> Json.t
-(** Warm-store statistics payload; [None] encodes [{"enabled": false}]. *)
-
 val run_call : ?pool:Parallel.Pool.t -> ?store:Store.t -> Protocol.call -> Json.t
 (** One-shot execution of a validated call: dispatch to the functions
     above ([certify] to {!Report.Certify_report.rows}, [explore] to
-    {!Power_core.Explorer.explore} with the call's axes) and encode the
-    reply payload. This is the reference the batched
+    {!Power_core.Explorer.explore} with the call's axes, [store_stats] to
+    the store's live statistics, [{"enabled": false}] without one) and
+    encode the reply payload. This is the reference the batched
     session must match bitwise — with the same [store] state, a warm
     reply replays the exact bits a cold solve would produce. *)

@@ -10,8 +10,9 @@ let write_line fd s =
       w (off + n) (len - n)
     end
   in
-  (* A client that hung up mid-reply is its own problem; the handler just
-     keeps draining its remaining input. *)
+  (* A client that hung up mid-reply is its own problem (EPIPE, with
+     SIGPIPE ignored by [listen_unix]); the handler just keeps draining
+     its remaining input. *)
   try w 0 (String.length line) with Unix.Unix_error _ -> ()
 
 let handle_connection session fd =
@@ -147,6 +148,10 @@ let rec accept_loop l =
       finish l
 
 let listen_unix ?(backlog = 64) session ~path =
+  (* A client that hangs up before its reply must not take the process
+     down: with SIGPIPE at its default action the handler's write would
+     kill the server before [write_line] could see the EPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Refuse to clobber a live server; remove a stale socket file. *)
   (match Unix.stat path with
   | { Unix.st_kind = Unix.S_SOCK; _ } -> (

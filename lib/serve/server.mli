@@ -20,8 +20,11 @@ type listener
 
 val listen_unix : ?backlog:int -> Session.t -> path:string -> listener
 (** Bind [path] (removing a stale socket file left by a dead server),
-    start accepting. @raise Unix.Unix_error when the path is unusable or
-    a live server already owns it. *)
+    start accepting. Sets SIGPIPE to ignored for the whole process, so a
+    client that hangs up before its reply costs only that reply (the
+    write fails with EPIPE) instead of killing the server.
+    @raise Unix.Unix_error when the path is unusable or a live server
+    already owns it. *)
 
 val stop : listener -> unit
 (** Ask the listener to shut down: stop accepting. The accept thread then

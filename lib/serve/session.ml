@@ -1,16 +1,12 @@
 exception Shutting_down
 
-type config = {
-  jobs : int option;
-  queue_capacity : int;
-  max_batch : int;
-  cache : bool;
-  store : Store.t option;
-}
+type config = { jobs : int option; cache : bool; store : Store.t option }
 
-let default_config =
-  { jobs = None; queue_capacity = 64; max_batch = 32; cache = true;
-    store = None }
+let default_config = { jobs = None; cache = true; store = None }
+
+(* Submitters block once this many requests are queued: overload slows
+   clients down, nothing is dropped. *)
+let max_queued = 64
 
 (* Deterministic per-workload counters keep the default category; batch
    composition and queue residency depend on wall-clock timing, so those
@@ -41,42 +37,23 @@ type t = {
   mutable memo : (Protocol.call, Json.t) Parallel.Memo.t option;
 }
 
-(* A batch is planned as a flat list of work units — one per request, none
-   for [store_stats] — each writing into its own result cell, plus one
-   [finish] closure per request that reads the reply from its cell. Units
-   are a pure function of their request alone — never of what else is in
-   the batch — which is what makes the batched replies bitwise-equal to
-   the one-shot paths (see the .mli). *)
-
-let guard f = try Ok (f ()) with e -> Error e
-
-(* A unit that runs [f] into its own cell, and the reader of that cell:
-   the unit's exception, if any, re-raises at read time. *)
-let deferred f =
-  let cell = ref None in
-  ( (fun () -> cell := Some (guard f)),
-    fun () ->
-      match !cell with
-      | Some (Ok v) -> v
-      | Some (Error e) -> raise e
-      | None -> failwith "Serve.Session: work unit never ran" )
-
-let plan ?store pool (call : Protocol.call) =
-  match call with
-  | Protocol.Store_stats ->
-    (* Pure introspection: no pool work, assembled at finish time so the
-       reply reflects the store state after the co-batched work ran. *)
-    ([], fun () -> Engine.store_stats_json store)
-  | _ ->
-    let run, reply = deferred (fun () -> Engine.run_call ~pool ?store call) in
-    ([ run ], reply)
-
 let finalize job outcome =
   Mutex.lock job.jm;
   job.outcome <- Some outcome;
   Condition.signal job.jc;
   Mutex.unlock job.jm;
   Obs.Counter.incr c_replies
+
+(* One pool task per job: it runs the call and replies to its own
+   submitter the moment it finishes, never waiting on a batch-mate. The
+   reply is [Engine.run_call] of the call alone, so co-batching changes
+   scheduling only (see the .mli). The task traps its own exception into
+   the reply, so [map] never raises here and one failing request cannot
+   poison its batch. *)
+let run_job t job =
+  finalize job
+    (try Ok (Engine.run_call ~pool:t.spool ?store:t.config.store job.call)
+     with e -> Error e)
 
 let execute_batch t batch =
   if Obs.enabled () then begin
@@ -90,19 +67,13 @@ let execute_batch t batch =
       batch
   end;
   Obs.Span.with_ ~name:"serve.batch" (fun () ->
-      let plans =
-        List.map
-          (fun job -> (job, plan ?store:t.config.store t.spool job.call))
-          batch
-      in
-      let units = List.concat_map (fun (_, (units, _)) -> units) plans in
-      (* All units of all co-batched requests go through one pool dispatch;
-         each unit traps its own exception into its cell, so [map] never
-         raises here and one failing request cannot poison its batch. *)
-      ignore (Parallel.Pool.map ~pool:t.spool (fun u -> u ()) units);
-      List.iter
-        (fun (job, (_, finish)) -> finalize job (guard finish))
-        plans)
+      ignore (Parallel.Pool.map ~pool:t.spool (run_job t) batch))
+
+(* Empty the queue, oldest first. Caller holds [t.mutex]. *)
+let take_all t =
+  let jobs = List.of_seq (Queue.to_seq t.queue) in
+  Queue.clear t.queue;
+  jobs
 
 let rec dispatcher_loop t =
   Mutex.lock t.mutex;
@@ -111,15 +82,10 @@ let rec dispatcher_loop t =
   done;
   if Queue.is_empty t.queue then Mutex.unlock t.mutex (* closing: drained *)
   else begin
-    let batch = ref [] in
-    let taken = ref 0 in
-    while (not (Queue.is_empty t.queue)) && !taken < t.config.max_batch do
-      batch := Queue.pop t.queue :: !batch;
-      incr taken
-    done;
+    let batch = take_all t in
     Condition.broadcast t.not_full;
     Mutex.unlock t.mutex;
-    execute_batch t (List.rev !batch);
+    execute_batch t batch;
     dispatcher_loop t
   end
 
@@ -134,9 +100,7 @@ let enqueue_and_wait t call =
     }
   in
   Mutex.lock t.mutex;
-  while
-    (not t.closing) && Queue.length t.queue >= t.config.queue_capacity
-  do
+  while (not t.closing) && Queue.length t.queue >= max_queued do
     Condition.wait t.not_full t.mutex
   done;
   if t.closing then begin
@@ -161,10 +125,6 @@ let start t =
   Mutex.unlock t.mutex
 
 let create ?(autostart = true) ?(config = default_config) () =
-  if config.queue_capacity < 1 then
-    invalid_arg "Serve.Session.create: queue_capacity < 1";
-  if config.max_batch < 1 then
-    invalid_arg "Serve.Session.create: max_batch < 1";
   let t =
     {
       config;
@@ -219,11 +179,9 @@ let shutdown t =
        hangs. With a dispatcher this queue is empty — it drains fully
        before exiting. *)
     Mutex.lock t.mutex;
-    let orphans = ref [] in
-    Queue.iter (fun j -> orphans := j :: !orphans) t.queue;
-    Queue.clear t.queue;
+    let orphans = take_all t in
     Mutex.unlock t.mutex;
-    List.iter (fun j -> finalize j (Error Shutting_down)) !orphans;
+    List.iter (fun j -> finalize j (Error Shutting_down)) orphans;
     Parallel.Pool.shutdown t.spool;
     (* The session owns the store handle it was configured with: flush
        and release the lock so the next process starts warm. *)

@@ -6,21 +6,22 @@
     linearisation memo tables it warms as a side effect of solving, and a
     result cache keyed by validated {!Protocol.call}. Requests from any
     number of threads funnel through a bounded queue into a single
-    dispatcher, which drains up to [max_batch] requests per cycle and runs
-    {e all} of their work units through one {!Parallel.Pool.map} dispatch.
+    dispatcher, which takes everything queued and runs it through one
+    {!Parallel.Pool.map}: {e one pool task per request}, and each task
+    hands its reply to its own submitter the moment it finishes — a
+    cheap request never waits for a slow batch-mate.
 
-    {b Bitwise equality.} A request's work is a pure function of that
-    request alone: [store_stats] is read at finish time, and every other
-    method is a single unit returning {!Engine.run_call} on the session
-    pool (a [rank] of more than 16 architectures maps its continuation
-    chains through that pool from inside its unit). Co-batched requests
-    share only the pool dispatch, never a warm-start chain, so every reply
-    is bitwise-identical to {!Engine.run_call} on an idle process,
-    whatever the batch composition or pool size.
+    {b Bitwise equality.} A request's task is {!Engine.run_call} of that
+    request alone on the session pool (a [rank] of more than 16
+    architectures maps its continuation chains through that pool from
+    inside its task). Co-batched requests share only the pool dispatch,
+    never a warm-start chain, so every reply is bitwise-identical to
+    {!Engine.run_call} on an idle process, whatever the batch composition
+    or pool size. The one timing-dependent reply is [store_stats], which
+    reads the store's counters live when its task runs.
 
-    {b Backpressure.} {!submit} blocks while the queue holds
-    [queue_capacity] requests — overload slows clients down; nothing is
-    ever dropped.
+    {b Backpressure.} {!submit} blocks while 64 requests are queued —
+    overload slows clients down; nothing is ever dropped.
 
     {b Observability.} [serve.requests] / [serve.replies] count accepted
     and answered requests (equal after a clean drain); [serve.batches],
@@ -33,8 +34,6 @@ exception Shutting_down
 
 type config = {
   jobs : int option;  (** Session pool size; [None] = the default size. *)
-  queue_capacity : int;  (** Bounded queue length (default 64). *)
-  max_batch : int;  (** Max requests coalesced per cycle (default 32). *)
   cache : bool;  (** Memoise replies by call (default [true]). *)
   store : Store.t option;
       (** Warm store opened once per process and owned by the session

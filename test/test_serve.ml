@@ -155,7 +155,8 @@ let test_fifo_pipelined () =
 
 (* Cross-request batching: hold the dispatcher, enqueue several distinct
    requests, release — they run as one coalesced batch, and each reply is
-   still bitwise-equal to its one-shot result. *)
+   still bitwise-equal to its one-shot result. A co-batched [store_stats]
+   is an ordinary job: on a cold session it answers [enabled:false]. *)
 let test_batch_coalescing () =
   Obs.set_enabled true;
   Obs.reset ();
@@ -166,18 +167,13 @@ let test_batch_coalescing () =
       call_of "optimum" [ ("arch", Json.Str "Wallace") ];
       call_of "rank" [] ;
       call_of "sweep" [ ("arch", Json.Str "Sequential"); ("samples", Json.Num 5.0) ];
+      call_of "store_stats" [];
     ]
   in
   let refs = List.map (fun c -> Engine.run_call c) calls in
   Obs.reset ();
   let config =
-    {
-      Session.jobs = Some 2;
-      queue_capacity = 16;
-      max_batch = 8;
-      cache = false;
-      store = None;
-    }
+    { Session.default_config with jobs = Some 2; cache = false }
   in
   with_session ~autostart:false config @@ fun session ->
   let calls_arr = Array.of_list calls in
@@ -202,6 +198,10 @@ let test_batch_coalescing () =
       | Some actual ->
         check_json (Printf.sprintf "batched request %d" i) expected actual)
     refs;
+  Alcotest.(check bool)
+    "co-batched store_stats answers enabled:false" true
+    (Option.bind results.(Array.length calls_arr - 1) (Json.member "enabled")
+    = Some (Json.Bool false));
   Alcotest.(check int)
     "one coalesced batch" 1
     (Obs.counter_value "serve.batches");
@@ -209,37 +209,35 @@ let test_batch_coalescing () =
     "all requests rode the batch" (Array.length calls_arr)
     (Obs.counter_value "serve.batched")
 
-(* Backpressure soak: more submitters than queue slots block rather than
-   drop; a clean drain leaves no queued request, no leaked pool task, and
-   requests == replies. *)
+(* Backpressure soak: more submitters than the 64 queue slots block
+   rather than drop; a clean drain leaves no queued request, no leaked
+   pool task, and requests == replies. *)
 let test_backpressure_and_drain () =
   Obs.set_enabled true;
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   let config =
-    { Session.jobs = Some 2; queue_capacity = 2; max_batch = 2; cache = false;
-      store = None }
+    { Session.default_config with jobs = Some 2; cache = false }
   in
   let session = Session.create ~autostart:false ~config () in
-  let n = 6 in
+  let capacity = 64 and n = 70 in
   let results = Array.make n None in
   let threads =
     List.init n (fun i ->
         Thread.create
           (fun () ->
-            let call =
-              call_of "optimum" [ ("arch", Json.Str (List.nth labels i)) ]
-            in
+            let label = List.nth labels (i mod List.length labels) in
+            let call = call_of "optimum" [ ("arch", Json.Str label) ] in
             results.(i) <- Some (Session.submit session call))
           ())
   in
-  wait_for "queue at capacity" (fun () -> Session.pending session = 2);
+  wait_for "queue at capacity" (fun () -> Session.pending session = capacity);
   (* Give the surplus submitters every chance to (wrongly) squeeze in. *)
   Thread.delay 0.05;
   Alcotest.(check int)
-    "queue holds exactly its capacity" 2 (Session.pending session);
+    "queue holds exactly its capacity" capacity (Session.pending session);
   Alcotest.(check int)
-    "only queued requests counted accepted" 2
+    "only queued requests counted accepted" capacity
     (Obs.counter_value "serve.requests");
   Session.start session;
   List.iter Thread.join threads;
@@ -255,11 +253,54 @@ let test_backpressure_and_drain () =
     "every accepted request answered"
     (Obs.counter_value "serve.requests")
     (Obs.counter_value "serve.replies");
-  Alcotest.(check int) "all six served" 6 (Obs.counter_value "serve.replies");
+  Alcotest.(check int) "all served" n (Obs.counter_value "serve.replies");
   (* Draining is terminal: new work is refused with the typed error. *)
   Alcotest.check_raises "submit after shutdown" Session.Shutting_down
     (fun () ->
       ignore (Session.submit session (call_of "optimum" [ ("arch", Json.Str "RCA") ])))
+
+(* A client that hangs up before its reply must cost only that reply:
+   the handler's write then fails with EPIPE, and the server (here, this
+   test process) must survive it and keep serving. Client A's request is
+   held in the queue while A closes its socket, so its reply is written
+   to a dead peer once the session starts. *)
+let test_client_hangup () =
+  (* Default SIGPIPE disposition, whatever this process inherited: the
+     listener itself must make the write survivable. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "optpower-test-serve.%d.sock" (Unix.getpid ()))
+  in
+  let config = { Session.default_config with jobs = Some 1; cache = false } in
+  let session = Session.create ~autostart:false ~config () in
+  let listener = Server.listen_unix session ~path in
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    Client.of_fd fd
+  in
+  let call = [ ("arch", Json.Str "RCA") ] in
+  let a = connect () in
+  Client.send_line a (Json.to_string (frame_of ~id:1 "optimum" call));
+  wait_for "the hung-up request queued" (fun () -> Session.pending session = 1);
+  Client.close a;
+  Session.start session;
+  let b = connect () in
+  (match Client.rpc b ~meth:"optimum" call with
+  | Ok reply ->
+    check_json "reply after a hang-up"
+      (Engine.run_call (call_of "optimum" call))
+      reply
+  | Error (code, msg) -> Alcotest.failf "client B: %s: %s" code msg);
+  Client.close b;
+  Server.stop listener;
+  Server.wait listener;
+  Alcotest.(check int) "queue drained" 0 (Session.pending session);
+  Alcotest.(check int)
+    "no leaked pool tasks" 0
+    (Parallel.Pool.pending (Session.pool session));
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 (* Regression: the session-owned result cache survives across requests — a
    second identical call is a memo hit and re-runs no solver work, even
@@ -631,6 +672,8 @@ let () =
             test_backpressure_and_drain;
           Alcotest.test_case "result cache survives across requests" `Quick
             test_session_cache_across_requests;
+          Alcotest.test_case "server survives a client hang-up"
+            `Quick test_client_hangup;
         ] );
       ( "protocol",
         [
