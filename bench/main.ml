@@ -554,7 +554,7 @@ let serve_run_fleet session ~request nclients per_client =
 
 let serve_optimum_request i k =
   let arch = serve_labels.((i + k) mod Array.length serve_labels) in
-  ("optimum", [ ("arch", Serve.Json.Str arch) ])
+  ("optimum", [ ("arch", Json.Str arch) ])
 
 let serve_lint_request _ _ = ("lint", [])
 
@@ -680,111 +680,68 @@ let host () =
     reference_loop_ms = reference_loop_ms ();
   }
 
-(* Minimal JSON writer: benchmark and counter names are plain ASCII without
-   quotes or backslashes, so escaping is not needed. *)
+(* BENCH_RESULTS.json: the host record, ns/run per benchmark (null when
+   the estimate failed) and the counter fingerprints. *)
+let results_json ~host ~metrics results =
+  let int n = Json.Num (float_of_int n) in
+  let obj f rows = Json.Obj (List.map (fun (name, v) -> (name, f v)) rows) in
+  let jobs = int (Parallel.Pool.default_jobs ()) in
+  Json.Obj
+    [
+      ("schema", Json.Str "optpower-bench/1");
+      ("jobs", jobs);
+      ( "host",
+        Json.Obj
+          [
+            ("nproc", int host.nproc);
+            ("jobs", jobs);
+            ("ocaml", Json.Str host.ocaml);
+            ("reference_loop_ms", Json.Num host.reference_loop_ms);
+          ] );
+      ("unit", Json.Str "ns/run");
+      ( "results",
+        obj
+          (fun ns -> if Float.is_finite ns then Json.Num ns else Json.Null)
+          results );
+      ("metrics", obj (obj int) metrics);
+    ]
+
 let write_json ~path ~host ?(metrics = []) results =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"optpower-bench/1\",\n";
-  Printf.fprintf oc "  \"jobs\": %d,\n" (Parallel.Pool.default_jobs ());
-  Printf.fprintf oc
-    "  \"host\": { \"nproc\": %d, \"jobs\": %d, \"ocaml\": %S, \
-     \"reference_loop_ms\": %.3f },\n"
-    host.nproc
-    (Parallel.Pool.default_jobs ())
-    host.ocaml host.reference_loop_ms;
-  Printf.fprintf oc "  \"unit\": \"ns/run\",\n  \"results\": {\n";
-  List.iteri
-    (fun i (name, estimate) ->
-      Printf.fprintf oc "    %S: %s%s\n" name
-        (if Float.is_nan estimate then "null"
-         else Printf.sprintf "%.3f" estimate)
-        (if i = List.length results - 1 then "" else ","))
-    results;
-  Printf.fprintf oc "  },\n  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, counters) ->
-      Printf.fprintf oc "    %S: { %s }%s\n" name
-        (String.concat ", "
-           (List.map (fun (c, v) -> Printf.sprintf "%S: %d" c v) counters))
-        (if i = List.length metrics - 1 then "" else ","))
-    metrics;
-  Printf.fprintf oc "  }\n}\n";
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (Json.to_string_pretty (results_json ~host ~metrics results)));
   Printf.printf "\nJSON results written to %s\n" path
 
-(* Reads the "results" and "metrics" blocks of a previous --json file — the
-   format above, so a line-oriented scan is enough: result entries look
-   like ["name": 123.456,], metric entries like ["name": { "c": 1, ... },]
-   and each block ends at the first line starting with a closing brace. *)
-
-let parse_metric_line line =
-  match (String.index_opt line '{', String.rindex_opt line '}') with
-  | Some lb, Some rb when rb > lb -> begin
-    try
-      let name = Scanf.sscanf line " %S" Fun.id in
-      let body = String.sub line (lb + 1) (rb - lb - 1) in
-      let counters =
-        List.filter_map
-          (fun pair ->
-            try Some (Scanf.sscanf (String.trim pair) " %S : %d" (fun c v -> (c, v)))
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
-          (String.split_on_char ',' body)
-      in
-      Some (name, counters)
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-  end
-  | _ -> None
-
-(* The reference-loop time of the ["host": { ... }] line [write_json]
-   writes. *)
-let parse_host_line line =
-  try
-    Scanf.sscanf line
-      " \"host\" : { \"nproc\" : %d , \"jobs\" : %d , \"ocaml\" : %S , \
-       \"reference_loop_ms\" : %f"
-      (fun _ _ _ ms -> Some ms)
-  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-
+(* Reads the results, the counter fingerprints and the host's
+   reference-loop time back from a previous --json file; null results are
+   skipped. *)
 let parse_baseline path =
-  let ic = open_in path in
-  let results = ref [] in
-  let metrics = ref [] in
-  let host_ref = ref None in
-  let section = ref `Preamble in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if String.length line >= 6 && String.sub line 0 6 = "\"host\"" then
-         host_ref := parse_host_line line
-       else if String.length line >= 9 && String.sub line 0 9 = "\"results\"" then
-         section := `Results
-       else if String.length line >= 9 && String.sub line 0 9 = "\"metrics\""
-       then section := `Metrics
-       else if String.length line > 0 && line.[0] = '}' then
-         section := `Preamble
-       else
-         match !section with
-         | `Preamble -> ()
-         | `Results -> begin
-           try
-             Scanf.sscanf line " %S : %s" (fun name v ->
-                 let v =
-                   if String.length v > 0 && v.[String.length v - 1] = ',' then
-                     String.sub v 0 (String.length v - 1)
-                   else v
-                 in
-                 if v <> "null" then
-                   results := (name, float_of_string v) :: !results)
-           with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-         end
-         | `Metrics -> (
-           match parse_metric_line line with
-           | Some m -> metrics := m :: !metrics
-           | None -> ())
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (List.rev !results, List.rev !metrics, !host_ref)
+  let doc =
+    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | Ok doc -> doc
+    | Error msg ->
+      Printf.printf "FAIL: %s is not JSON: %s\n" path msg;
+      exit 1
+  in
+  let member key = Option.value ~default:Json.Null (Json.member key doc) in
+  let numbers = function
+    | Json.Obj fields ->
+      List.filter_map
+        (function name, Json.Num v -> Some (name, v) | _ -> None)
+        fields
+    | _ -> []
+  in
+  let counters block =
+    List.map (fun (c, v) -> (c, int_of_float v)) (numbers block)
+  in
+  let metrics =
+    match member "metrics" with
+    | Json.Obj blocks -> List.map (fun (name, b) -> (name, counters b)) blocks
+    | _ -> []
+  in
+  ( numbers (member "results"),
+    metrics,
+    List.assoc_opt "reference_loop_ms" (numbers (member "host")) )
 
 (* Regression gate: every benchmark present in both runs must stay within
    +25% of its recorded baseline, and every counter shared with the

@@ -12,16 +12,24 @@ let csv_path_arg =
 
 (* Numeric flags with a domain: a value outside it is a usage error (exit
    124) whose message names the flag, before any work starts. *)
-let int_at_least lo =
+let int_at_least ?(even = false) lo =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
+    | Some n when n >= lo && ((not even) || n mod 2 = 0) -> Ok n
     | Some _ | None ->
-        Error (`Msg (Printf.sprintf "invalid value '%s', expected N >= %d" s lo))
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected %sN >= %d" s
+                (if even then "an even " else "")
+                lo))
   in
   Arg.conv (parse, Format.pp_print_int)
 
 let positive_int = int_at_least 1
+
+(* Operand width of the commands that build the Booth core, which needs
+   an even width of at least 4. *)
+let booth_bits = int_at_least ~even:true 4
 
 let positive_float =
   let parse s =
@@ -109,7 +117,7 @@ let with_obs (trace, metrics) f =
    accepts exactly the requests the service accepts; a rejected one is a
    usage error (exit 124) with Protocol's message. *)
 
-module J = Serve.Json
+module J = Json
 
 let wire_opt ?long key cv to_json ~docv ~doc =
   let long = Option.value long ~default:key in
@@ -453,7 +461,7 @@ let extensions_cmd =
 let prove_cmd =
   let bits =
     Arg.(
-      value & opt (int_at_least 2) 8
+      value & opt booth_bits 8
       & info [ "bits" ] ~doc:"Operand width (BDDs of multipliers grow fast).")
   in
   let run bits =
@@ -494,10 +502,11 @@ let prove_cmd =
 
 let faults_cmd =
   let bits =
-    Arg.(value & opt (int_at_least 2) 8 & info [ "bits" ] ~doc:"Operand width.")
+    Arg.(value & opt booth_bits 8 & info [ "bits" ] ~doc:"Operand width.")
   in
   let vectors =
-    Arg.(value & opt int 32 & info [ "vectors" ] ~doc:"Random test vectors.")
+    Arg.(
+      value & opt positive_int 32 & info [ "vectors" ] ~doc:"Random test vectors.")
   in
   let run bits vectors =
     let build core =

@@ -1,67 +1,8 @@
-(* Minimal JSON tree + printer, enough for the JSON and SARIF outputs
-   (no JSON library in the toolchain image). *)
-type json =
-  | Str of string
-  | Int of int
-  | Obj of (string * json) list
-  | Arr of json list
+(* The JSON and SARIF outputs are [Json] trees printed by
+   [Json.to_string_pretty]. *)
+open Json
 
-let escape_json s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_string root =
-  let buf = Buffer.create 4096 in
-  let pad depth = Buffer.add_string buf (String.make (2 * depth) ' ') in
-  let rec emit depth = function
-    | Str s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape_json s);
-      Buffer.add_char buf '"'
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (depth + 1);
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape_json k);
-          Buffer.add_string buf "\": ";
-          emit (depth + 1) v)
-        fields;
-      Buffer.add_char buf '\n';
-      pad depth;
-      Buffer.add_char buf '}'
-    | Arr [] -> Buffer.add_string buf "[]"
-    | Arr items ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          pad (depth + 1);
-          emit (depth + 1) v)
-        items;
-      Buffer.add_char buf '\n';
-      pad depth;
-      Buffer.add_char buf ']'
-  in
-  emit 0 root;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+let int n = Num (float_of_int n)
 
 (* --- Text --- *)
 
@@ -139,29 +80,30 @@ let diagnostic_json (d : Diagnostic.t) =
      ]
     @ match d.fix_hint with Some h -> [ ("fixHint", Str h) ] | None -> [])
 
-let json (report : Engine.report) =
-  to_string
-    (Obj
-       [
-         ( "targets",
-           Arr
-             (List.map
-                (fun (t : Engine.target) ->
-                  Obj
-                    [
-                      ("title", Str t.title);
-                      ("diagnostics", Arr (List.map diagnostic_json t.diagnostics));
-                    ])
-                report.targets) );
-         ( "summary",
-           Obj
-             [
-               ("errors", Int report.errors);
-               ("warnings", Int report.warnings);
-               ("infos", Int report.infos);
-               ("exitCode", Int (Engine.exit_code report));
-             ] );
-       ])
+let report_json (report : Engine.report) =
+  Obj
+    [
+      ( "targets",
+        Arr
+          (List.map
+             (fun (t : Engine.target) ->
+               Obj
+                 [
+                   ("title", Str t.title);
+                   ("diagnostics", Arr (List.map diagnostic_json t.diagnostics));
+                 ])
+             report.targets) );
+      ( "summary",
+        Obj
+          [
+            ("errors", int report.errors);
+            ("warnings", int report.warnings);
+            ("infos", int report.infos);
+            ("exitCode", int (Engine.exit_code report));
+          ] );
+    ]
+
+let json report = to_string_pretty (report_json report)
 
 (* --- SARIF 2.1.0 --- *)
 
@@ -213,7 +155,7 @@ let sarif_result (d : Diagnostic.t) =
   Obj
     ([
        ("ruleId", Str d.rule);
-       ("ruleIndex", Int (rule_index d.rule));
+       ("ruleIndex", int (rule_index d.rule));
        ("level", Str (sarif_level d.severity));
        ("message", Obj [ ("text", Str d.message) ]);
        ( "partialFingerprints",
@@ -257,7 +199,7 @@ let sarif ?(run_id = "optpower-lint/catalog") (report : Engine.report) =
       (fun (t : Engine.target) -> List.map sarif_result t.diagnostics)
       report.targets
   in
-  to_string
+  to_string_pretty
     (Obj
        [
          ("$schema", Str "https://json.schemastore.org/sarif-2.1.0.json");

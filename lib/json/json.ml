@@ -299,6 +299,47 @@ let to_string v =
   emit v;
   Buffer.contents buf
 
+let to_string_pretty root =
+  let buf = Buffer.create 4096 in
+  let pad depth = Buffer.add_string buf (String.make (2 * depth) ' ') in
+  let block depth opening closing emit_item items =
+    Buffer.add_string buf opening;
+    Buffer.add_char buf '\n';
+    List.iteri
+      (fun i item ->
+        if i > 0 then Buffer.add_string buf ",\n";
+        pad (depth + 1);
+        emit_item item)
+      items;
+    Buffer.add_char buf '\n';
+    pad depth;
+    Buffer.add_string buf closing
+  in
+  let rec emit depth = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool true -> Buffer.add_string buf "true"
+    | Bool false -> Buffer.add_string buf "false"
+    | Num v -> Buffer.add_string buf (number_to_string v)
+    | Str s ->
+      Buffer.add_char buf '"';
+      escape_into buf s;
+      Buffer.add_char buf '"'
+    | Arr [] -> Buffer.add_string buf "[]"
+    | Arr items -> block depth "[" "]" (emit (depth + 1)) items
+    | Obj [] -> Buffer.add_string buf "{}"
+    | Obj fields ->
+      block depth "{" "}"
+        (fun (k, v) ->
+          Buffer.add_char buf '"';
+          escape_into buf k;
+          Buffer.add_string buf "\": ";
+          emit (depth + 1) v)
+        fields
+  in
+  emit 0 root;
+  Buffer.add_char buf '\n';
+  Buffer.contents buf
+
 let rec equal a b =
   match (a, b) with
   | Null, Null -> true

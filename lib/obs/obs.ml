@@ -357,20 +357,7 @@ module Report = struct
 
   (* Chrome trace_event JSON. *)
 
-  let json_escape s =
-    let buffer = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buffer "\\\""
-        | '\\' -> Buffer.add_string buffer "\\\\"
-        | '\n' -> Buffer.add_string buffer "\\n"
-        | '\t' -> Buffer.add_string buffer "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buffer c)
-      s;
-    Buffer.contents buffer
+  let json_string s = Json.to_string (Json.Str s)
 
   let chrome_trace () =
     let spans =
@@ -394,20 +381,19 @@ module Report = struct
       (fun s ->
         let name = match s.path_rev with n :: _ -> n | [] -> "?" in
         let args =
-          String.concat ","
-            (List.map
-               (fun (k, v) ->
-                 Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-               s.attrs)
+          if s.attrs = [] then ""
+          else
+            ",\"args\":"
+            ^ Json.to_string
+                (Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) s.attrs))
         in
         emit
           (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
-             (json_escape name)
-             (json_escape (if s.s_cat = "" then "span" else s.s_cat))
+             "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
+             (json_string name)
+             (json_string (if s.s_cat = "" then "span" else s.s_cat))
              ((s.start_ns -. epoch) /. 1e3)
-             (s.dur_ns /. 1e3) s.domain
-             (if args = "" then "" else Printf.sprintf ",\"args\":{%s}" args)))
+             (s.dur_ns /. 1e3) s.domain args))
       spans;
     let end_ts = ref 0.0 in
     List.iter
@@ -418,8 +404,8 @@ module Report = struct
       (fun (name, v) ->
         emit
           (Printf.sprintf
-             "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"args\":{\"value\":%d}}"
-             (json_escape name) !end_ts v))
+             "{\"name\":%s,\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"args\":{\"value\":%d}}"
+             (json_string name) !end_ts v))
       (counters ());
     Buffer.add_string buffer "\n],\"displayTimeUnit\":\"ms\"}\n";
     Buffer.contents buffer

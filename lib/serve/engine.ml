@@ -77,20 +77,11 @@ let rank_json ~tech ranked =
     ]
 
 let lint_json report =
-  (* The lint report already has a canonical JSON rendering
-     (Analysis.Render.json, also what `optpower lint --format json`
-     prints); re-read it into wire JSON rather than maintaining a second
-     encoder. The parse cannot fail on our own renderer's output. *)
-  let doc =
-    match Json.parse (Analysis.Render.json report) with
-    | Ok j -> j
-    | Error msg -> failwith ("Engine.lint_json: unparseable report: " ^ msg)
-  in
   Json.Obj
     [
       ("method", Json.Str "lint");
       ("exit_code", Json.Num (float_of_int (Analysis.Engine.exit_code report)));
-      ("report", doc);
+      ("report", Analysis.Render.report_json report);
     ]
 
 let certify_json rows =

@@ -65,8 +65,7 @@ val rank_json :
   (string * Power_core.Numerical_opt.point) list -> Json.t
 
 val lint_json : Analysis.Engine.report -> Json.t
-(** The {!Analysis.Render.json} document re-read into wire JSON, wrapped
-    with the exit code. *)
+(** The {!Analysis.Render.report_json} tree wrapped with the exit code. *)
 
 val certify_json : Report.Certify_report.row list -> Json.t
 

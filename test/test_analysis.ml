@@ -309,8 +309,27 @@ let test_render_text () =
   Alcotest.(check bool) "has summary" true
     (contains s "lint: 1 target, 0 errors, 1 warning, 1 info")
 
+let json_t =
+  Alcotest.testable
+    (fun ppf j -> Format.pp_print_string ppf (Json.to_string j))
+    Json.equal
+
+let parse_json what s =
+  match Json.parse s with
+  | Ok j -> j
+  | Error msg -> Alcotest.failf "%s is not JSON: %s" what msg
+
+(* One tree behind every JSON view of a report: the printed document
+   re-reads to [report_json] and the wire lint reply embeds that tree. *)
 let test_render_json () =
-  let s = Analysis.Render.json (sample_report ()) in
+  let r = sample_report () in
+  let s = Analysis.Render.json r in
+  let tree = Analysis.Render.report_json r in
+  Alcotest.check json_t "json re-reads to report_json" tree
+    (parse_json "json" s);
+  Alcotest.(check (option json_t))
+    "wire reply embeds report_json" (Some tree)
+    (Json.member "report" (Serve.Engine.lint_json r));
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("json has " ^ needle) true (contains s needle))
@@ -324,6 +343,9 @@ let test_render_json () =
 
 let test_render_sarif () =
   let s = Analysis.Render.sarif ~run_id:"test-run" (sample_report ()) in
+  Alcotest.(check (option json_t))
+    "sarif parses" (Some (Json.Str "2.1.0"))
+    (Json.member "version" (parse_json "sarif" s));
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("sarif has " ^ needle) true (contains s needle))
@@ -402,6 +424,8 @@ let test_json_escaping () =
       [ { Analysis.Engine.title = "t"; diagnostics = [ d ] } ]
   in
   let s = Analysis.Render.json report in
+  Alcotest.check json_t "escaped text re-reads"
+    (Analysis.Render.report_json report) (parse_json "json" s);
   Alcotest.(check bool) "escaped quote" true (contains s "c\\\"q");
   Alcotest.(check bool) "escaped newline" true (contains s "\\n");
   Alcotest.(check bool) "escaped tab" true (contains s "\\t")

@@ -119,18 +119,38 @@ let test_disabled_records_nothing () =
     "span not recorded" false
     (contains (Obs.Report.profile ()) "invisible")
 
+let json_t =
+  Alcotest.testable
+    (fun ppf j -> Format.pp_print_string ppf (Json.to_string j))
+    Json.equal
+
 let test_chrome_trace_shape () =
   with_recording @@ fun () ->
-  Obs.Span.with_ ~name:"traced" ~attrs:[ ("k", "v\"quoted\"") ] (fun () -> ());
-  let json = Obs.Report.chrome_trace () in
-  List.iter
-    (fun needle -> check_contains "trace" json needle)
-    [ "\"traceEvents\""; "\"ph\":\"X\""; "\"traced\""; "\\\"quoted\\\"" ];
-  (* Balanced brackets is a cheap well-formedness proxy without a JSON
-     parser in the test deps. *)
-  let count ch = String.fold_left (fun n c -> if c = ch then n + 1 else n) 0 in
-  Alcotest.(check int) "balanced braces" (count '{' json) (count '}' json);
-  Alcotest.(check int) "balanced brackets" (count '[' json) (count ']' json)
+  Obs.Span.with_ ~name:"traced"
+    ~attrs:[ ("k", "v\"quoted\""); ("ctl", "a\001b") ]
+    (fun () -> ());
+  let trace =
+    match Json.parse (Obs.Report.chrome_trace ()) with
+    | Ok trace -> trace
+    | Error msg -> Alcotest.failf "trace is not JSON: %s" msg
+  in
+  let events =
+    match Json.member "traceEvents" trace with
+    | Some (Json.Arr events) -> events
+    | _ -> Alcotest.fail "traceEvents is not an array"
+  in
+  let is_traced e =
+    Json.member "name" e = Some (Json.Str "traced")
+    && Json.member "ph" e = Some (Json.Str "X")
+  in
+  match List.find_opt is_traced events with
+  | None -> Alcotest.fail "no X event named traced"
+  | Some e ->
+    let arg k = Option.bind (Json.member "args" e) (Json.member k) in
+    Alcotest.(check (option json_t))
+      "quoted attribute" (Some (Json.Str "v\"quoted\"")) (arg "k");
+    Alcotest.(check (option json_t))
+      "control-character attribute" (Some (Json.Str "a\001b")) (arg "ctl")
 
 (* Determinism: the normalized profile and the merged counters are
    byte-identical whatever the pool size. *)
