@@ -714,14 +714,18 @@ let write_json ~path ~host ?(metrics = []) results =
 
 (* Reads the results, the counter fingerprints and the host's
    reference-loop time back from a previous --json file; null results are
-   skipped. *)
+   skipped. A file that cannot be read or parsed prints FAIL and exits 1,
+   so it is read before any benchmark runs. *)
 let parse_baseline path =
+  let fail fmt = Printf.ksprintf (fun msg -> print_endline msg; exit 1) fmt in
+  let text =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg -> fail "FAIL: cannot read the baseline: %s" msg
+  in
   let doc =
-    match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+    match Json.parse text with
     | Ok doc -> doc
-    | Error msg ->
-      Printf.printf "FAIL: %s is not JSON: %s\n" path msg;
-      exit 1
+    | Error msg -> fail "FAIL: %s is not JSON: %s" path msg
   in
   let member key = Option.value ~default:Json.Null (Json.member key doc) in
   let numbers = function
@@ -796,8 +800,8 @@ let retired_rows ~baseline ~base_metrics =
        (fun name -> not (registered name))
        (List.map fst baseline @ List.map fst base_metrics))
 
-let compare_against ~path ~host ~metrics results =
-  let baseline, base_metrics, base_ref = parse_baseline path in
+let compare_against ~path ~baseline:(baseline, base_metrics, base_ref) ~host
+    ~metrics results =
   Printf.printf "\n=== Regression check vs %s (threshold %+.0f%%) ===\n\n" path
     ((regression_threshold -. 1.0) *. 100.0);
   Printf.printf "%-42s %12s %12s %7s\n" "benchmark" "baseline" "current"
@@ -946,8 +950,18 @@ let () =
     (fun anon -> raise (Arg.Bad ("unexpected argument " ^ anon)))
     "bench [--smoke] [--json] [--out FILE] [--no-tables] [--compare FILE] \
      [--only SUBSTR]";
+  let baseline =
+    if !compare_path = "" then None else Some (parse_baseline !compare_path)
+  in
   (* Timed before any benchmark, while the process is otherwise idle. *)
   let host = lazy (host ()) in
+  let gate ~metrics results =
+    Option.iter
+      (fun baseline ->
+        compare_against ~path:!compare_path ~baseline ~host:(Lazy.force host)
+          ~metrics results)
+      baseline
+  in
   if !json || !compare_path <> "" then ignore (Lazy.force host);
   if !smoke then begin
     print_endline "=== Bench smoke (one fast benchmark) ===\n";
@@ -961,9 +975,7 @@ let () =
     in
     if !json then
       write_json ~path:!out ~host:(Lazy.force host) ~metrics results;
-    if !compare_path <> "" then
-      compare_against ~path:!compare_path ~host:(Lazy.force host) ~metrics
-        results;
+    gate ~metrics results;
     overhead_check ()
   end
   else begin
@@ -995,7 +1007,5 @@ let () =
     in
     if !json then
       write_json ~path:!out ~host:(Lazy.force host) ~metrics results;
-    if !compare_path <> "" then
-      compare_against ~path:!compare_path ~host:(Lazy.force host) ~metrics
-        results
+    gate ~metrics results
   end

@@ -76,7 +76,7 @@ let in_bracket bracket v =
 
 (* The seeded solver's initial bracket expansion works at a 5% scale
    (Numerics.Minimize.seeded_bracket via Numerical_opt.optimum); a seed
-   further than that from the certified bracket could start Brent in the
+   further than that from the certified bracket could start Newton in the
    wrong basin without tripping the expansion. *)
 let seed_trust_radius = 0.05
 
@@ -122,7 +122,7 @@ let certificate ~label (problem : Pl.problem) =
         [
           diag "cert.solver-in-enclosure" label ~parameter:"vdd"
             ~fix_hint:"the enclosure is a proof; debug the solver (seed, \
-                       bracket expansion, Brent tolerance)"
+                       bracket expansion, Newton tolerance)"
             (Printf.sprintf
                "solver optimum (Vdd %.6g V, Ptot %.6g W) outside certified \
                 bracket %s / enclosure %s"

@@ -72,7 +72,7 @@ let fit_cap_scale tech ~f ~rows =
      warm-starts from its own optimum at the previously probed scale: the
      chain in [warm] is indexed by row slot and advanced exactly once per
      cost call whatever domain computes the slot, keeping the fit
-     deterministic while cutting each inner solve to a few Brent steps. *)
+     deterministic while cutting each inner solve to a few Newton steps. *)
   let warm = Array.make (List.length rows) None in
   let cost scale =
     Numerics.Kahan.sum_list

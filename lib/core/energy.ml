@@ -44,7 +44,7 @@ type mep = {
 let minimum_energy_point ?(f_lo = 0.1e6) ?(f_hi = 500e6) problem =
   (* The scan-and-refine over log f probes nearby frequencies over and
      over; one sequential warm chain across all probes keeps each inner
-     (Vdd, Vth) solve down to a few Brent steps. *)
+     (Vdd, Vth) solve down to a few Newton steps. *)
   let warm = ref None in
   let optimum_at f =
     let p = Power_law.at_frequency problem ~f in

@@ -5,8 +5,9 @@ type point = Power_law.breakdown
    deterministic for a given problem, so they survive into normalized
    profiles. [opt.grid_evals] / [opt.golden_iters] only move on the blind
    grid-scan path (the differential oracle and the seed fallback);
-   [opt.seeded_solves] / [opt.brent_iters] only on the analytically seeded
-   path; [opt.seed_fallbacks] counts cold solves that could not be seeded
+   [opt.seeded_solves] / [opt.brent_iters] (Newton evaluations; the name
+   predates Newton) only on the analytically seeded path;
+   [opt.seed_fallbacks] counts cold solves that could not be seeded
    because the problem sits outside the Eq. 7 linearization's validity
    domain. *)
 let c_solves = Obs.Counter.make "opt.solves"
@@ -37,18 +38,43 @@ let optimum_grid ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
       Obs.Counter.add c_grid_evals samples;
       Power_law.at problem ~vdd:r.x)
 
-(* The one seeded solve, over any on-constraint objective: expand a
-   bracket geometrically around the seed until unimodality is
-   established, then Brent. [scale] is the relative trust radius — Eq. 13
-   seeds are good to a few percent, warm starts from a neighbouring solve
-   usually much better, but the expansion makes the exact value
-   uncritical. The result's [fx] is [f x], so a caller that needs only
-   the total reads it there. *)
-let solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale f =
+(* Newton on P'(v) = 0 inside the expansion's bracket [a, b], from its
+   middle point: each evaluation's sign of P' shrinks the bracket, and a
+   step that leaves it, or a curvature P'' <= 0, becomes a bisection. It
+   stops once the step is within [tol |x|] and returns the last evaluated
+   point, whose [fx] is [Power_law.objective c x]. [iterations] counts
+   the evaluations. *)
+let newton_refine c ~tol ~max_iter a b x0 _ =
+  let j = { Power_law.p = 0.0; dp = 0.0; d2p = 0.0 } in
+  let a = ref a and b = ref b and x = ref x0 and iter = ref 0 in
+  let stop = ref false in
+  while not !stop do
+    incr iter;
+    let v = !x in
+    Power_law.jet_into c v j;
+    if j.dp < 0.0 then a := v else if j.dp > 0.0 then b := v;
+    let u = v -. (j.dp /. j.d2p) in
+    let u =
+      if j.d2p > 0.0 && u > !a && u < !b then u else 0.5 *. (!a +. !b)
+    in
+    if Float.abs (u -. v) <= tol *. Float.abs v || !iter >= max_iter then
+      stop := true
+    else x := u
+  done;
+  let fx = if !x > 0.0 && Float.is_finite j.p then j.p else infinity in
+  { Numerics.Minimize.x = !x; fx; iterations = !iter }
+
+(* The one seeded solve of an on-constraint objective: expand a bracket
+   geometrically around the seed until unimodality is established, then
+   Newton. [scale] is the relative trust radius — Eq. 13 seeds are good
+   to a few percent, warm starts from a neighbouring solve usually much
+   better, but the expansion makes the exact value uncritical. *)
+let solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale c =
   let x0 = Float.min vdd_hi (Float.max vdd_lo seed) in
   let r =
-    Numerics.Minimize.seeded_bracket ~tol:1e-9 ~f ~x0 ~scale:(scale *. x0)
-      vdd_lo vdd_hi
+    Numerics.Minimize.seeded_bracket ~tol:1e-9 ~f:(Power_law.objective c)
+      ~refine:(newton_refine c ~tol:1e-9 ~max_iter:200)
+      ~x0 ~scale:(scale *. x0) vdd_lo vdd_hi
   in
   Obs.Counter.incr c_solves;
   Obs.Counter.incr c_seeded_solves;
@@ -70,16 +96,16 @@ let eq13_seed ~vdd_lo ~vdd_hi (problem : Power_law.problem) =
     then Some cf.vdd_opt
     else None
 
-let warm_solve ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ~from f =
+let warm_solve ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ~from c =
   Obs.Span.with_ ~name:"opt.solve" (fun () ->
-      solve_seeded ~vdd_lo ~vdd_hi ~seed:from ~scale:0.02 f)
+      solve_seeded ~vdd_lo ~vdd_hi ~seed:from ~scale:0.02 c)
 
 let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
     ?(samples = 256) ?from problem =
   match (from : point option) with
   | Some from ->
     let r =
-      warm_solve ~vdd_lo ~vdd_hi ~from:from.vdd (ptot_on_constraint problem)
+      warm_solve ~vdd_lo ~vdd_hi ~from:from.vdd (Power_law.coeffs problem)
     in
     Power_law.at problem ~vdd:r.x
   | None -> (
@@ -88,7 +114,7 @@ let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
       Obs.Span.with_ ~name:"opt.solve" (fun () ->
           let r =
             solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale:0.05
-              (ptot_on_constraint problem)
+              (Power_law.coeffs problem)
           in
           Power_law.at problem ~vdd:r.x)
     | None ->

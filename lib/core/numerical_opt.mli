@@ -7,15 +7,18 @@
     is {e seeded} from a neighbour's optimum when the caller has one
     ([~from]), else {e analytically} from the closed form's [vdd_opt]
     (within 3 % of the numerical optimum inside its validity domain — the
-    paper's headline result); either seed starts a bracket expansion +
-    Brent refinement instead of a blind 256-point grid scan.
+    paper's headline result); either seed starts a bracket expansion
+    refined by a bracketed Newton iteration on dPtot/dVdd = 0 (the
+    stationarity condition behind Eq. 13, solved without its
+    linearisation) instead of a blind 256-point grid scan.
     {!optimum_grid} keeps the pre-seeding scan-then-golden solver as the
     fallback and the differential oracle; the two agree to better than
     1e-6 relative in both the optimal supply and the optimal power
     (property-tested, [@solver-equiv]). {!warm_solve} is the same warm
-    solve on a bare objective, {!solve_chain_into} and {!optima_continued}
-    chain it over families of related problems (sweeps, ladders,
-    Monte-Carlo dies), and {!sweep_vdd} evaluates the locus itself. *)
+    solve on bare objective coefficients, {!solve_chain_into} and
+    {!optima_continued} chain it over families of related problems
+    (sweeps, ladders, Monte-Carlo dies), and {!sweep_vdd} evaluates the
+    locus itself. *)
 
 type point = Power_law.breakdown
 
@@ -33,7 +36,7 @@ val optimum :
 
     With [~from], the problem is known to be close to an already solved
     one: the search seeds at [from]'s optimal supply with a tight (2 %)
-    trust radius — [warm_solve ~from:from.vdd (ptot_on_constraint
+    trust radius — [warm_solve ~from:from.vdd (Power_law.coeffs
     problem)] followed by {!Power_law.at} at the minimiser. The bracket
     expansion makes the result exact even when the neighbour is further
     away than that — only the iteration count grows.
@@ -41,8 +44,8 @@ val optimum :
     Without it, the search seeds from {!Closed_form}'s Eq. 10 [vdd_opt]
     when the problem is inside the linearization's validity domain (the
     closed form is feasible and its predicted optimum falls inside both
-    the Eq. 7 fit range and the search bracket), then refines with
-    {!Numerics.Minimize.seeded_bracket}. It falls back to the
+    the Eq. 7 fit range and the search bracket), and solves the same way
+    with a 5 % radius. It falls back to the
     {!optimum_grid} scan otherwise, counted by the [opt.seed_fallbacks]
     counter. [samples] only affects the fallback path. Default search
     range {!Power_law.vdd_search_range} (0.05–3.0 V). *)
@@ -57,14 +60,19 @@ val optimum_grid :
     fallback. Default search range {!Power_law.vdd_search_range}. *)
 
 val warm_solve :
-  ?vdd_lo:float -> ?vdd_hi:float -> from:float -> (float -> float) ->
+  ?vdd_lo:float -> ?vdd_hi:float -> from:float -> Power_law.coeffs ->
   Numerics.Minimize.result
-(** [warm_solve ~from f] is the solve under {!optimum}[ ~from] on any
-    on-constraint objective [f] (such as {!Power_law.objective}): seeded
-    at the supply [from] with the same 2 % trust radius, under the same
-    [opt.solve] span and [opt.solves] / [opt.seeded_solves] /
-    [opt.brent_iters] counters. The result's [fx] is [f x], so a caller
-    that needs only the optimal total reads it there. *)
+(** [warm_solve ~from c] is the solve under {!optimum}[ ~from] on the
+    objective {!Power_law.objective}[ c]. {!Numerics.Minimize.seeded_bracket}
+    centres a bracket of 2 % radius on the supply [from] and slides it by
+    function values until its middle point is no worse than both ends;
+    Newton on P′(Vdd) = 0 ({!Power_law.jet_into}) then refines from that
+    point, bisecting on the sign of P′ whenever a step would leave the
+    bracket or P″ ≤ 0, until the step is within 1e-9 relative. One
+    [opt.solve] span; counters [opt.solves], [opt.seeded_solves] and
+    [opt.brent_iters], which counts the refinement evaluations (the name
+    predates Newton). The result's [fx] is [Power_law.objective c x], so a
+    caller that needs only the optimal total reads it there. *)
 
 val solve_chain_into :
   ?vdd_lo:float ->

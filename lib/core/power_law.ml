@@ -104,6 +104,29 @@ let objective c vdd =
     if Float.is_finite total then total else infinity
   end
 
+(* P, P' and P'' on the locus from one power and one exponential. With
+   g = (chi' v)^(1/alpha), vth = v - g, E = e^{-vth/nUt}, s = N Io E and
+   h = 1 - (v - g/alpha)/nUt (vth' = 1 - g/(alpha v)):
+     P'  = 2 kdyn v + s h
+     P'' = 2 kdyn - s ((1 - g/(alpha v)) h + 1 - g/(alpha^2 v)) / nUt
+   [p] is [total_on_locus]'s expression, so its bits are equal. *)
+type jet = { mutable p : float; mutable dp : float; mutable d2p : float }
+
+let jet_into c vdd j =
+  let g = (c.chi_p *. vdd) ** c.inv_alpha in
+  let vth = vdd -. g in
+  let e = Float.exp (-.vth /. c.n_ut) in
+  j.p <- (c.kdyn *. vdd *. vdd) +. (c.n_cells *. vdd *. c.io_cell *. e);
+  let s = c.n_cells *. c.io_cell *. e in
+  let ga = g *. c.inv_alpha in
+  let h = 1.0 -. ((vdd -. ga) /. c.n_ut) in
+  j.dp <- (2.0 *. c.kdyn *. vdd) +. (s *. h);
+  j.d2p <-
+    (2.0 *. c.kdyn)
+    -. (s
+       *. (((1.0 -. (ga /. vdd)) *. h) +. (1.0 -. (ga *. c.inv_alpha /. vdd)))
+       /. c.n_ut)
+
 let meets_timing t ~vdd ~vth =
   vdd > vth && ((vdd -. vth) ** t.tech.alpha) /. vdd >= t.chi_prime
 

@@ -90,6 +90,15 @@ val objective : coeffs -> float -> float
 (** {!total_on_locus} as a minimisation objective: [infinity] for
     [vdd <= 0] and wherever the total is not finite. *)
 
+(** Total power and its first two supply derivatives along the locus. *)
+type jet = { mutable p : float; mutable dp : float; mutable d2p : float }
+
+val jet_into : coeffs -> float -> jet -> unit
+(** [jet_into c vdd j] stores in [j] the total at [vdd > 0] ([p], bit for
+    bit {!total_on_locus}), dPtot/dVdd ([dp]) and d²Ptot/dVdd² ([d2p]),
+    all from one [(χ′·vdd)^(1/α)] and one [exp]. Each may be infinite or
+    NaN where the total is. *)
+
 val at_free : problem -> vdd:float -> vth:float -> breakdown
 (** Power at an arbitrary (possibly infeasible) couple — used by the
     two-dimensional maps of Figure 1. *)

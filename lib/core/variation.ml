@@ -249,8 +249,8 @@ let yield_mc ?(spread = default_spread) ?(dies = 10_000) ?(chunk = 4096)
                   n_ut;
                 }
               in
-              let r = Numerical_opt.warm_solve ~from (Power_law.objective c) in
-              (* Brent's [fx] is [f x]: a finite one is the die's total,
+              let r = Numerical_opt.warm_solve ~from c in
+              (* The solve's [fx] is [f x]: a finite one is the die's total,
                  a non-finite total is recomputed as [Power_law.at] would
                  give it. *)
               let ptot =

@@ -1,4 +1,5 @@
-let codec_version = "optpower-warm/1"
+(* 2: the seeded solve refines by Newton (1 stored Brent's bits). *)
+let codec_version = "optpower-warm/2"
 
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L

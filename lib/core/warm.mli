@@ -15,6 +15,9 @@
       construction. *)
 
 val codec_version : string
+(** The revision of the record codecs and of the solver whose bits they
+    store: raised whenever a cold re-solve would no longer reproduce a
+    stored record bit for bit. *)
 
 val fingerprint : unit -> string
 (** Hex FNV-1a-64 digest over {!codec_version}, every float field of the

@@ -27,27 +27,22 @@ val seeded_bracket :
   ?max_iter:int ->
   ?grow:float ->
   f:(float -> float) ->
+  refine:(float -> float -> float -> float -> result) ->
   x0:float ->
   scale:float ->
   float ->
   float ->
   result
-(** [seeded_bracket ~f ~x0 ~scale lo hi] minimises [f] on [\[lo, hi\]]
-    starting from an analytic seed: a bracket of half-width [scale] is
-    centred on [x0] (clamped into the interval) and slid downhill with the
-    step growing by [grow] (default 2.0) each move until the middle point
-    is no worse than both ends — i.e. local unimodality is established —
-    then refined with Brent's method (successive parabolic interpolation
-    falling back to golden-section steps). A window driven into an
-    interval end exits the expansion with the minimum pinned at that
-    boundary. If no bracket can be established (strongly non-unimodal
-    objective), falls back to {!golden_section} over the whole interval.
-
-    [result.iterations] counts Brent refinement iterations (one [f]
-    evaluation each, bracketing probes excluded). With a seed within a few
-    percent of the true minimiser this needs an order of magnitude fewer
-    evaluations than {!grid_then_golden}, which is kept as the differential
-    oracle.
-    @param tol absolute tolerance on [x] (default [1e-10]).
+(** [seeded_bracket ~f ~refine ~x0 ~scale lo hi] minimises [f] on
+    [\[lo, hi\]] starting from an analytic seed: a bracket of half-width
+    [scale] is centred on [x0] (clamped into the interval) and slid
+    downhill with the step growing by [grow] (default 2.0) each move until
+    the middle point [m] is no worse than both ends [a], [b] — local
+    unimodality is established — and the result is then
+    [refine a b m (f m)]. A window driven into an interval end exits the
+    expansion with the minimum pinned at that boundary ([m] equal to it).
+    If no bracket can be established (strongly non-unimodal objective),
+    falls back to {!golden_section} over the whole interval with [tol]
+    (absolute in [x], default [1e-10]) and [max_iter].
     @raise Invalid_argument if [lo >= hi], [scale] is not positive and
     finite, or [grow <= 1]. *)
