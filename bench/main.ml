@@ -234,7 +234,7 @@ let bench_variation_naive =
               Power_core.Variation.draw_factors
                 Power_core.Variation.default_spread stream calibrated_problem
             in
-            (Power_core.Numerical_opt.optimum_grid varied).total)
+            (Oracles.Grid.optimum varied).total)
       in
       ignore (Numerics.Stats.summarize totals);
       ignore (Numerics.Stats.percentile totals 95.0))
@@ -862,14 +862,15 @@ let compare_against ~path ~baseline:(baseline, base_metrics, base_ref) ~host
   if !failed then exit 1
 
 (* Disabled-instrumentation overhead contract (checked under --smoke): an
-   un-instrumented replica of the grid-scan solver vs the real,
-   instrumented [Numerical_opt.optimum_grid] with observability off. The
-   replica evaluates the objective behind [ptot_on_constraint]
-   ([Power_law.objective]) with the default bracket/sample settings, so the two sides differ only by the instrumentation points
-   (the seeded production path shares those same points per probe, but
-   runs a different probe count, so the A/B must stay on the scan).
-   Wall-clock A/B on a shared machine is noisy, so we take the best of
-   several attempts — the contract is about the code, not the
+   un-instrumented replica of the grid-scan solver vs the same scan
+   instrumented as every solve is ([Oracles.Grid.optimum]: one
+   [opt.solve] span and its counters) with observability off. The
+   replica evaluates [Power_law.objective] with the default
+   bracket/sample settings, so the two sides differ only by the
+   instrumentation points (the seeded production path has the same points
+   per solve, but runs a different probe count, so the A/B stays on the
+   scan). Wall-clock A/B on a shared machine is noisy, so we take the
+   best of several attempts — the contract is about the code, not the
    scheduler. *)
 let baseline_optimum problem =
   let f =
@@ -895,7 +896,7 @@ let overhead_check () =
       (fun best _ ->
         let base = measure baseline_optimum in
         let inst =
-          measure (fun p -> Power_core.Numerical_opt.optimum_grid p)
+          measure (fun p -> Oracles.Grid.optimum p)
         in
         Float.min best (inst /. base))
       infinity

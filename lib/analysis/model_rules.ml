@@ -170,8 +170,7 @@ let optimisation ~label (problem : Power_core.Power_law.problem) =
         ] )
   in
   let optimum =
-    Power_core.Numerical_opt.optimum ~vdd_lo:sweep_lo ~vdd_hi:sweep_hi
-      ~samples:sweep_samples problem
+    Power_core.Numerical_opt.optimum ~vdd_lo:sweep_lo ~vdd_hi:sweep_hi problem
   in
   let bracket =
     let step = (sweep_hi -. sweep_lo) /. float_of_int (sweep_samples - 1) in

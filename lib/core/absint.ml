@@ -1,5 +1,5 @@
 (* Abstract interpretation of the on-constraint power model over parameter
-   boxes. The concrete semantics is Numerical_opt.ptot_on_constraint; the
+   boxes. The concrete semantics is Power_law.objective; the
    abstract domain is outward-rounded intervals (Numerics.Interval)
    tightened with affine mean-value forms. Everything returned here is a
    machine-checked enclosure: no result depends on executing the solver. *)
@@ -129,6 +129,7 @@ let dptot_over (b : box) =
 type certificate = {
   ptot : Iv.t;
   vdd_bracket : Iv.t;
+  vdd_best : float;
   boxes : int;
   splits : int;
   prunes : int;
@@ -146,7 +147,8 @@ type sub = { vdd : Iv.t; at_lo : Iv.t Lazy.t; at_hi : Iv.t Lazy.t }
 
 (* Interval branch-and-bound over the supply axis. Invariants:
    - [ub] is always an achieved value: the .hi of a point evaluation, so
-     min Ptot <= ub with certainty even over a non-degenerate f box.
+     min Ptot <= ub with certainty even over a non-degenerate f box;
+     [best] is the supply of that evaluation.
    - a sub-box is discarded only when its certified lower bound exceeds
      [ub] (cannot contain the minimiser), or when its derivative is
      certified sign-definite and it is interior (the minimum then sits on
@@ -159,7 +161,7 @@ let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : box) =
   let m = model b in
   let domain = b.vdd in
   let root_mid = point m (Iv.mid domain) in
-  let ub = ref root_mid.Iv.hi in
+  let ub = ref root_mid.Iv.hi and best = ref (Iv.mid domain) in
   let boxes = ref 0 and splits = ref 0 and prunes = ref 0 in
   let survivors = ref [] in
   let keep vdd enc = survivors := (vdd, enc) :: !survivors in
@@ -175,10 +177,12 @@ let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : box) =
       incr boxes;
       Obs.Counter.incr c_boxes;
       let vdd = s.vdd in
-      (* Tightening below only raises enc.lo, so a box the naive/affine
-         bound already prunes needs no derivative. *)
+      (* Each tightening below only raises .lo, so a box the naive bound
+         prunes needs no affine form, one naive ∩ affine prunes no
+         derivative. *)
       let l = locus m vdd in
-      let enc = enclose m vdd (naive m l) in
+      let nv = naive m l in
+      let enc = if nv.Iv.lo > !ub then nv else enclose m vdd nv in
       if enc.Iv.lo > !ub then (
         prune ();
         go None rest)
@@ -197,7 +201,7 @@ let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : box) =
           let pm =
             match mid with Some pm -> pm | None -> point m (Iv.mid vdd)
           in
-          if pm.Iv.hi < !ub then ub := pm.Iv.hi;
+          if pm.Iv.hi < !ub then (ub := pm.Iv.hi; best := Iv.mid vdd);
           let min_at =
             if Iv.width vdd <= tol then None
             else if d.Iv.lo > 0.0 then Some (vdd.Iv.lo, s.at_lo)
@@ -255,7 +259,8 @@ let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : box) =
       in
       (Iv.make (Float.min lo !ub) !ub, bracket)
   in
-  { ptot; vdd_bracket; boxes = !boxes; splits = !splits; prunes = !prunes }
+  { ptot; vdd_bracket; vdd_best = !best; boxes = !boxes; splits = !splits;
+    prunes = !prunes }
 
 (* One-sided exclusion test: a certified "min Ptot over the box is
    strictly above [threshold]". Two structural cheapenings over a
@@ -295,11 +300,14 @@ let excludes ?(tol = 2e-3) ?(max_splits = 32) (b : box) ~threshold =
           else b.vdd
     in
     let m = model b in
+    (* Naive first: the affine form can only raise its .lo. *)
     let lower vdd =
-      let naive = naive m (locus m vdd) in
-      match affine_range m vdd with
-      | Some aff -> Float.max naive.Iv.lo aff.Iv.lo
-      | None -> naive.Iv.lo
+      let lo = (naive m (locus m vdd)).Iv.lo in
+      if lo > threshold then lo
+      else
+        match affine_range m vdd with
+        | Some aff -> Float.max lo aff.Iv.lo
+        | None -> lo
     in
     let splits = ref 0 in
     let rec go = function

@@ -1,6 +1,6 @@
 (** Abstract interpretation of the power model: certified enclosures.
 
-    The concrete semantics is {!Numerical_opt.ptot_on_constraint}; the
+    The concrete semantics is {!Power_law.objective}; the
     abstract domain is outward-rounded intervals
     ({!Numerics.Interval}) tightened with affine mean-value forms and
     derivative-sign (monotonicity) arguments. {!certify} runs an interval
@@ -46,6 +46,9 @@ type certificate = {
   vdd_bracket : Numerics.Interval.t;
       (** Certified bracket: every minimiser of Ptot over the box lies
           inside it. *)
+  vdd_best : float;
+      (** The incumbent: the supply (a sub-box midpoint) whose point
+          evaluation set [ptot.hi]. Edge leaves never update it. *)
   boxes : int;  (** Sub-boxes examined. *)
   splits : int;  (** Bisections performed. *)
   prunes : int;  (** Sub-boxes discarded (bound or monotonicity). *)
@@ -56,7 +59,8 @@ val certify : ?tol:float -> ?max_splits:int -> box -> certificate
     when their certified lower bound exceeds the incumbent (an achieved
     point value) or when their derivative enclosure is sign-definite and
     they are interior (domain-edge monotone boxes collapse to the edge
-    point). Surviving boxes are bisected down to width [tol] (default
+    point); the bound test runs on the naive enclosure before the affine
+    one is built. Surviving boxes are bisected down to width [tol] (default
     2e-3 V); [max_splits] (default 20000) bounds the work, trading
     tightness — never soundness — when exhausted. Counters [cert.boxes],
     [cert.splits], [cert.prunes]. *)
@@ -70,5 +74,6 @@ val excludes :
     K·vdd² already exceeds the threshold there) before a lower-bound-only
     branch-and-bound works the remaining prefix, skipping the achieved
     upper values, derivative enclosures and endpoint refinements that
-    two-sided certification pays for. Defaults: [tol] 2e-3, [max_splits]
+    two-sided certification pays for, and the affine form of any box its
+    naive bound already excludes. Defaults: [tol] 2e-3, [max_splits]
     32. Counters [cert.boxes]/[cert.splits]/[cert.prunes]. *)

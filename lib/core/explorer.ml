@@ -18,10 +18,11 @@
    latency and area — that member then dominates the candidate outright,
    and dominance is transitive through any later front culling. Hence the
    pruned and exhaustive paths finish every slice with the same front set;
-   both arms run the identical exact-evaluation task (seeded solve +
-   certification), so the retained floats agree bit for bit. Planning and
-   folding happen sequentially on the caller against round-start state
-   (Pool.map_rounds), which extends the bit-identity to any pool size.
+   both arms run the identical exact-evaluation task (certification, then
+   the seeded solve inside the certified bracket), so the retained floats
+   agree bit for bit. Planning and folding happen sequentially on the
+   caller against round-start state (Pool.map_rounds), which extends the
+   bit-identity to any pool size.
 
    Warm store. With [?store], three record families persist across runs:
    substrate characterizations (keyed by generator parameters, so a hit
@@ -624,9 +625,8 @@ let explore ?pool ?(round = 16) ?(prune = true) ?(seed = 7) ?(cycles = 160)
         let task = function
           | `Hit outcome -> `Hit outcome
           | `Solve (problem, key) ->
-            let point = Numerical_opt.optimum problem in
+            let point, cert = Numerical_opt.certified_optimum problem in
             if Float.is_finite point.Power_law.total then
-              let cert = Absint.certify (Absint.box problem) in
               `Solved (key, Some (point, cert.Absint.ptot.Iv.lo))
             else `Solved (key, None)
         in

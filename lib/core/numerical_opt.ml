@@ -1,42 +1,16 @@
 type point = Power_law.breakdown
 
-(* Counter catalog of the solver: one [opt.solve] span per (Vdd, Vth)
-   optimisation; iteration and probe counts as counters. All are
-   deterministic for a given problem, so they survive into normalized
-   profiles. [opt.grid_evals] / [opt.golden_iters] only move on the blind
-   grid-scan path (the differential oracle and the seed fallback);
-   [opt.seeded_solves] / [opt.brent_iters] (Newton evaluations; the name
-   predates Newton) only on the analytically seeded path;
-   [opt.seed_fallbacks] counts cold solves that could not be seeded
-   because the problem sits outside the Eq. 7 linearization's validity
-   domain. *)
+(* Counter catalog of the solver: one [opt.solve] span per seeded solve;
+   deterministic counts, so they survive into normalized profiles.
+   [opt.brent_iters] counts Newton evaluations (the name predates Newton);
+   [opt.seed_fallbacks] the cold solves Eq. 13 cannot seed. *)
 let c_solves = Obs.Counter.make "opt.solves"
-let c_golden_iters = Obs.Counter.make "opt.golden_iters"
-let c_grid_evals = Obs.Counter.make "opt.grid_evals"
 let c_seeded_solves = Obs.Counter.make "opt.seeded_solves"
 let c_brent_iters = Obs.Counter.make "opt.brent_iters"
 let c_seed_fallbacks = Obs.Counter.make "opt.seed_fallbacks"
 let c_sweep_points = Obs.Counter.make "opt.sweep_points"
 
 let default_vdd_lo, default_vdd_hi = Power_law.vdd_search_range
-
-let ptot_on_constraint problem = Power_law.objective (Power_law.coeffs problem)
-
-(* The pre-seeding solver: a blind 256-point scan localises the optimum
-   basin, golden section refines it. Kept verbatim as the differential
-   oracle for the seeded path (see test_solver_equiv) and as the fallback
-   when no analytic seed is available. *)
-let optimum_grid ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
-    ?(samples = 256) problem =
-  Obs.Span.with_ ~name:"opt.solve" (fun () ->
-      let r =
-        Numerics.Minimize.grid_then_golden ~samples ~tol:1e-9
-          ~f:(ptot_on_constraint problem) vdd_lo vdd_hi
-      in
-      Obs.Counter.incr c_solves;
-      Obs.Counter.add c_golden_iters r.iterations;
-      Obs.Counter.add c_grid_evals samples;
-      Power_law.at problem ~vdd:r.x)
 
 (* Newton on P'(v) = 0 inside the expansion's bracket [a, b], from its
    middle point: each evaluation's sign of P' shrinks the bracket, and a
@@ -70,6 +44,7 @@ let newton_refine c ~tol ~max_iter a b x0 _ =
    to a few percent, warm starts from a neighbouring solve usually much
    better, but the expansion makes the exact value uncritical. *)
 let solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale c =
+  Obs.Span.with_ ~name:"opt.solve" @@ fun () ->
   let x0 = Float.min vdd_hi (Float.max vdd_lo seed) in
   let r =
     Numerics.Minimize.seeded_bracket ~tol:1e-9 ~f:(Power_law.objective c)
@@ -97,34 +72,58 @@ let eq13_seed ~vdd_lo ~vdd_hi (problem : Power_law.problem) =
     else None
 
 let warm_solve ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ~from c =
-  Obs.Span.with_ ~name:"opt.solve" (fun () ->
-      solve_seeded ~vdd_lo ~vdd_hi ~seed:from ~scale:0.02 c)
+  solve_seeded ~vdd_lo ~vdd_hi ~seed:from ~scale:0.02 c
 
-let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
-    ?(samples = 256) ?from problem =
-  match (from : point option) with
-  | Some from ->
-    let r =
-      warm_solve ~vdd_lo ~vdd_hi ~from:from.vdd (Power_law.coeffs problem)
+(* Certify, then the seeded core from the incumbent inside the certified
+   bracket, then the walls the bracket reaches: a wall minimum sits in a
+   collapsed edge leaf, which never moves the incumbent. The interval
+   lifts reject a NaN coefficient, so non-finite ones get no proof. *)
+let certified_optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi)
+    problem =
+  let open Power_law in
+  let c = coeffs problem and domain = Numerics.Interval.make vdd_lo vdd_hi in
+  let coefs = [ c.kdyn; c.n_cells; c.io_cell; c.chi_p; c.inv_alpha; c.n_ut ] in
+  if not (List.for_all Float.is_finite coefs) then
+    ( at problem ~vdd:vdd_lo,
+      { Absint.ptot = Numerics.Interval.entire; vdd_bracket = domain;
+        vdd_best = vdd_lo; boxes = 0; splits = 0; prunes = 0 } )
+  else
+    let cert = Absint.certify (Absint.box ~vdd:domain problem) in
+    let { Numerics.Interval.lo; hi } = cert.vdd_bracket in
+    let x =
+      if lo = hi then lo
+      else (warm_solve ~vdd_lo:lo ~vdd_hi:hi ~from:cert.vdd_best c).x
     in
-    Power_law.at problem ~vdd:r.x
-  | None -> (
-    match eq13_seed ~vdd_lo ~vdd_hi problem with
-    | Some seed ->
-      Obs.Span.with_ ~name:"opt.solve" (fun () ->
-          let r =
-            solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale:0.05
-              (Power_law.coeffs problem)
-          in
-          Power_law.at problem ~vdd:r.x)
-    | None ->
-      Obs.Counter.incr c_seed_fallbacks;
-      optimum_grid ~vdd_lo ~vdd_hi ~samples problem)
+    let wall x (reached, v) =
+      if reached && objective c v < objective c x then v else x
+    in
+    let walls = [ (lo <= vdd_lo, vdd_lo); (hi >= vdd_hi, vdd_hi) ] in
+    (at problem ~vdd:(List.fold_left wall x walls), cert)
+
+(* A warm seed ([~from], 2 %), else the Eq. 13 seed (5 %), else the
+   certificate. A seeded solve that ends non-finite (a seed inside the
+   overflow region, with all three bracket points infinite) is solved
+   again through the certificate, which finds any finite minimum. *)
+let optimum ?(vdd_lo = default_vdd_lo) ?(vdd_hi = default_vdd_hi) ?from
+    problem =
+  let seed, scale =
+    match (from : point option) with
+    | Some from -> (Some from.vdd, 0.02)
+    | None -> (eq13_seed ~vdd_lo ~vdd_hi problem, 0.05)
+  in
+  let solve seed =
+    solve_seeded ~vdd_lo ~vdd_hi ~seed ~scale (Power_law.coeffs problem)
+  in
+  match Option.map solve seed with
+  | Some r when Float.is_finite r.fx -> Power_law.at problem ~vdd:r.x
+  | r ->
+    if Option.is_none r then Obs.Counter.incr c_seed_fallbacks;
+    fst (certified_optimum ~vdd_lo ~vdd_hi problem)
 
 (* The one warm-chain loop: a contiguous run of related problems solved
    sequentially on the calling domain, each solve warm-started from its
    predecessor and handed to [write] as soon as it is available. Without
-   [head] the first solve is cold (Eq. 13 seed or grid fallback) — the
+   [head] the first solve is cold (Eq. 13 or certificate seed) — the
    chunk body of [optima_continued]; with it the first solve warm-starts
    too, as the per-die chains of the reference yield engine do from the
    nominal optimum (keeping them off the Eq. 13 seeding path, whose
@@ -139,8 +138,8 @@ let solve_chain_into ?vdd_lo ?vdd_hi ?head ~problem_of ~n ~write () =
   done
 
 (* Continuation over a family of related problems: fixed-size contiguous
-   chunks, each one warm chain whose head solves cold (Eq. 13 seed or the
-   grid fallback). The chunk size is a constant — NOT derived from the
+   chunks, each one warm chain whose head solves cold (Eq. 13 or
+   certificate seed). The chunk size is a constant — NOT derived from the
    pool size — so the warm chains, and with them every floating-point bit
    of the result, are identical at any [-j]. *)
 let continuation_chunk = 16

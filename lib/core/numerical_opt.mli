@@ -3,61 +3,47 @@
     the machinery behind Figure 1.
 
     Every optimum is one 1-D minimisation of Ptot over Vdd on the timing
-    constraint locus (Eq. 5, Vth implied), reached through {!optimum}: it
-    is {e seeded} from a neighbour's optimum when the caller has one
-    ([~from]), else {e analytically} from the closed form's [vdd_opt]
-    (within 3 % of the numerical optimum inside its validity domain — the
-    paper's headline result); either seed starts a bracket expansion
-    refined by a bracketed Newton iteration on dPtot/dVdd = 0 (the
-    stationarity condition behind Eq. 13, solved without its
-    linearisation) instead of a blind 256-point grid scan.
-    {!optimum_grid} keeps the pre-seeding scan-then-golden solver as the
-    fallback and the differential oracle; the two agree to better than
-    1e-6 relative in both the optimal supply and the optimal power
-    (property-tested, [@solver-equiv]). {!warm_solve} is the same warm
-    solve on bare objective coefficients, {!solve_chain_into} and
-    {!optima_continued} chain it over families of related problems
-    (sweeps, ladders, Monte-Carlo dies), and {!sweep_vdd} evaluates the
-    locus itself. *)
+    constraint locus (Eq. 5, Vth implied), reached through {!optimum}. It
+    is seeded from a neighbour's optimum ([~from]), else from the closed
+    form's [vdd_opt] (within 3 % inside its validity domain — the paper's
+    headline result), else from a certificate ({!certified_optimum}); the
+    seed starts a bracket expansion refined by Newton on dPtot/dVdd = 0,
+    and no solve scans a grid. The blind grid scan lives on in the tests
+    as [Oracles.Grid.optimum], the oracle every seeded solve matches to
+    1e-6 relative ([@solver-equiv]). {!warm_solve} is the warm solve on
+    bare objective coefficients, {!solve_chain_into} and
+    {!optima_continued} chain it over families of related problems, and
+    {!sweep_vdd} evaluates the locus itself. *)
 
 type point = Power_law.breakdown
 
-val ptot_on_constraint : Power_law.problem -> float -> float
-(** Total power at a supply, threshold set by the timing constraint:
-    {!Power_law.objective} of the problem's {!Power_law.coeffs}, which
-    [ptot_on_constraint problem] computes once. Returns [infinity] for
-    supplies whose implied threshold is absurd (vdd ≤ 0) and wherever the
-    total is not finite. *)
-
 val optimum :
-  ?vdd_lo:float -> ?vdd_hi:float -> ?samples:int -> ?from:point ->
-  Power_law.problem -> point
+  ?vdd_lo:float -> ?vdd_hi:float -> ?from:point -> Power_law.problem -> point
 (** One-dimensional search over Vdd on the constraint locus.
 
-    With [~from], the problem is known to be close to an already solved
-    one: the search seeds at [from]'s optimal supply with a tight (2 %)
-    trust radius — [warm_solve ~from:from.vdd (Power_law.coeffs
-    problem)] followed by {!Power_law.at} at the minimiser. The bracket
-    expansion makes the result exact even when the neighbour is further
-    away than that — only the iteration count grows.
+    With [~from], the search seeds at [from]'s optimal supply with a
+    tight (2 %) trust radius — [warm_solve ~from:from.vdd
+    (Power_law.coeffs problem)] then {!Power_law.at} at the minimiser;
+    the bracket expansion keeps the result exact when the neighbour is
+    further away, only the iteration count grows. Without it, the seed is
+    {!Closed_form}'s Eq. 10 [vdd_opt] (5 % radius) when the problem is
+    inside the linearization's validity domain (the closed form is
+    feasible and its prediction falls inside both the Eq. 7 fit range and
+    the search bracket); otherwise the result is {!certified_optimum}'s,
+    counted by [opt.seed_fallbacks]. A seeded solve that ends non-finite
+    (a seed inside the overflow region) is also solved again by
+    {!certified_optimum}. Default search range
+    {!Power_law.vdd_search_range} (0.05–3.0 V). *)
 
-    Without it, the search seeds from {!Closed_form}'s Eq. 10 [vdd_opt]
-    when the problem is inside the linearization's validity domain (the
-    closed form is feasible and its predicted optimum falls inside both
-    the Eq. 7 fit range and the search bracket), and solves the same way
-    with a 5 % radius. It falls back to the
-    {!optimum_grid} scan otherwise, counted by the [opt.seed_fallbacks]
-    counter. [samples] only affects the fallback path. Default search
-    range {!Power_law.vdd_search_range} (0.05–3.0 V). *)
-
-val optimum_grid :
-  ?vdd_lo:float -> ?vdd_hi:float -> ?samples:int ->
-  Power_law.problem -> point
-(** The blind solver: [samples]-point grid scan (default 256) to localise
-    the global-minimum basin, golden section to refine. Robust to mild
-    non-unimodality and independent of the closed form — the differential
-    oracle the seeded {!optimum} is property-tested against, and its
-    fallback. Default search range {!Power_law.vdd_search_range}. *)
+val certified_optimum :
+  ?vdd_lo:float -> ?vdd_hi:float -> Power_law.problem ->
+  point * Absint.certificate
+(** One {!Absint.certify} over the search range, then the 2 % seeded core
+    inside its [vdd_bracket] from its incumbent [vdd_best], then the
+    objective at each search-range wall the bracket reaches; the lowest
+    wins. Non-finite coefficients give the non-finite breakdown at
+    [vdd_lo] and a certificate that proves nothing (the whole line, the
+    search range, no boxes). *)
 
 val warm_solve :
   ?vdd_lo:float -> ?vdd_hi:float -> from:float -> Power_law.coeffs ->

@@ -108,8 +108,9 @@ val meets_timing : problem -> vdd:float -> vth:float -> bool
 
 val vdd_search_range : float * float
 (** The default supply bracket [(0.05, 3.0)] V shared by every optimiser —
-    {!Numerical_opt.optimum}, {!Numerical_opt.optimum_grid} and the
-    static-analysis sweep-bracket rule all search this range unless told
+    {!Numerical_opt.optimum}, {!Numerical_opt.certified_optimum}, the
+    certifier and the static-analysis sweep-bracket rule all search this
+    range unless told
     otherwise, so a result on its boundary always means "widen the
     bracket", never a range mismatch between layers. *)
 
@@ -150,7 +151,7 @@ val locus_iv :
 
 val ptot_on_constraint_iv :
   problem -> f:Numerics.Interval.t -> locus_iv -> Numerics.Interval.t
-(** Enclosure of {!Numerical_opt.ptot_on_constraint} over a (f, vdd) box,
+(** Enclosure of {!objective} over a (f, vdd) box,
     the locus taken over the same boxes. *)
 
 val dptot_on_constraint_iv :

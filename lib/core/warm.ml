@@ -1,5 +1,6 @@
-(* 2: the seeded solve refines by Newton (1 stored Brent's bits). *)
-let codec_version = "optpower-warm/2"
+(* 3: explorer outcomes are solved inside the certificate (2 stored the
+   Eq. 13-seeded and grid solves' bits; 1 Brent's). *)
+let codec_version = "optpower-warm/3"
 
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L

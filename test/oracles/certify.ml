@@ -255,7 +255,7 @@ let c_prunes = Obs.Counter.make "cert.prunes"
 let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : Ab.box) =
   let domain = b.vdd in
   let point_hi v = (point_range b v).Iv.hi in
-  let ub = ref (point_hi (Iv.mid domain)) in
+  let ub = ref (point_hi (Iv.mid domain)) and best = ref (Iv.mid domain) in
   let boxes = ref 0 and splits = ref 0 and prunes = ref 0 in
   let survivors = ref [] in
   let keep vdd enc = survivors := (vdd, enc) :: !survivors in
@@ -272,7 +272,9 @@ let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : Ab.box) =
         go rest)
       else (
         let pm = point_hi (Iv.mid vdd) in
-        if pm < !ub then ub := pm;
+        if pm < !ub then (
+          ub := pm;
+          best := Iv.mid vdd);
         let monotone =
           if Iv.width vdd <= tol then `No
           else
@@ -316,7 +318,14 @@ let certify ?(tol = 2e-3) ?(max_splits = 20_000) (b : Ab.box) =
       in
       (Iv.make (Float.min lo !ub) !ub, bracket)
   in
-  { Ab.ptot; vdd_bracket; boxes = !boxes; splits = !splits; prunes = !prunes }
+  {
+    Ab.ptot;
+    vdd_bracket;
+    vdd_best = !best;
+    boxes = !boxes;
+    splits = !splits;
+    prunes = !prunes;
+  }
 
 let excludes ?(tol = 2e-3) ?(max_splits = 32) (b : Ab.box) ~threshold =
   if not (threshold > 0.0 && Float.is_finite threshold) then false

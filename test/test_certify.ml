@@ -44,7 +44,7 @@ let test_range_soundness () =
               +. Numerics.Rng.float rng
                    (box.Ab.vdd.Iv.hi -. box.Ab.vdd.Iv.lo)
             in
-            let p = N.ptot_on_constraint (Pl.at_frequency problem ~f) vdd in
+            let p = Pl.objective (Pl.coeffs (Pl.at_frequency problem ~f)) vdd in
             if Float.is_finite p && not (Iv.contains enc p) then
               Alcotest.failf
                 "%s/%s: Ptot(f=%.6g, vdd=%.6g) = %.12g outside %s"
@@ -66,7 +66,7 @@ let test_bracket_contains_oracle () =
             Power_core.Calibration.problem_of_row tech ~f:P.frequency row
           in
           let cert = Ab.certify (Ab.box problem) in
-          let oracle = N.optimum_grid problem in
+          let oracle = Oracles.Grid.optimum problem in
           let fail msg =
             Alcotest.failf "%s/%s: %s (bracket %s, ptot %s)"
               (Device.Technology.name tech)
@@ -136,7 +136,7 @@ let test_tiny_supply_boxes () =
               List.iter
                 (fun v ->
                   let v = Float.min hi (Float.max lo v) in
-                  let p = N.ptot_on_constraint problem v in
+                  let p = Pl.objective (Pl.coeffs problem) v in
                   if not (Iv.contains enc p) then
                     fail ("outside " ^ Iv.to_string enc) v p;
                   if p < cert.Ab.ptot.Iv.lo then
@@ -169,7 +169,7 @@ let test_excludes_slices () =
           let problem =
             Power_core.Calibration.problem_of_row tech ~f:P.frequency row
           in
-          let oracle = N.optimum_grid problem in
+          let oracle = Oracles.Grid.optimum problem in
           let excluded = ref 0 in
           for i = 0 to n - 1 do
             let a = lo +. (float_of_int i *. step) in
@@ -252,17 +252,19 @@ let check_certificate (p : Pl.problem) =
     not
       (same_iv c.Ab.ptot o.Ab.ptot
       && same_iv c.Ab.vdd_bracket o.Ab.vdd_bracket
+      && same_float c.Ab.vdd_best o.Ab.vdd_best
       && c.Ab.boxes = o.Ab.boxes && c.Ab.splits = o.Ab.splits
       && c.Ab.prunes = o.Ab.prunes)
   then
     Alcotest.failf
-      "%s: certify ptot %s bracket %s (%d/%d/%d) vs reference %s %s \
-       (%d/%d/%d)"
+      "%s: certify ptot %s bracket %s best %h (%d/%d/%d) vs reference %s \
+       %s best %h (%d/%d/%d)"
       (describe p) (Iv.to_string c.Ab.ptot)
       (Iv.to_string c.Ab.vdd_bracket)
-      c.Ab.boxes c.Ab.splits c.Ab.prunes (Iv.to_string o.Ab.ptot)
+      c.Ab.vdd_best c.Ab.boxes c.Ab.splits c.Ab.prunes
+      (Iv.to_string o.Ab.ptot)
       (Iv.to_string o.Ab.vdd_bracket)
-      o.Ab.boxes o.Ab.splits o.Ab.prunes
+      o.Ab.vdd_best o.Ab.boxes o.Ab.splits o.Ab.prunes
 
 (* 200 seeded problems per flavor, each at three frequency decades. *)
 let test_certify_seeded () =

@@ -1,6 +1,6 @@
 (* Differential tests of the seeded solver. Against the blind grid-scan
-   oracle it replaced ([Numerical_opt.optimum_grid], the pre-seeding
-   solver kept verbatim): both refine to tol 1e-9, so wherever the
+   oracle it replaced ([Oracles.Grid.optimum], the pre-seeding solver
+   kept verbatim): both refine to tol 1e-9, so wherever the
    objective is unimodal they must land on the same minimum to well under
    1e-6 relative — in the supply AND in the power (the latter is flat at
    the optimum, so it agrees much tighter). Cases cover the calibrated
@@ -10,7 +10,9 @@
    same minimum from the same seed on every yield die, at the walls and
    where the objective overflows; and the analytic slope it follows
    ([Power_law.jet_into]) against the certifier's derivative enclosure
-   and central differences. *)
+   and central differences. The certified solve (certify, then Newton
+   in the certified bracket from its incumbent, then the walls) against
+   the grid oracle and against its own composition, bit for bit. *)
 
 module P = Power_core.Paper_data
 module Pl = Power_core.Power_law
@@ -61,7 +63,7 @@ let test_seeded_matches_grid () =
           Alcotest.failf "only %d/%d comparable cases in %d draws" !checked
             min_cases max_draws;
         let problem = random_problem rng in
-        let oracle = N.optimum_grid problem in
+        let oracle = Oracles.Grid.optimum problem in
         (* On-boundary optima are clamps, not stationary points: the two
            refinement paths may stop on different sides of the wall. Skip
            them (the population keeps >200 interior cases). *)
@@ -109,7 +111,9 @@ let test_fallback_counts () =
     (fun () ->
       (* Push the throughput up in octaves until chi*A exceeds 1: there
          Eq. 13 is infeasible, no seed exists, and [optimum] must fall
-         back to the grid scan. *)
+         back to the certified solve: the refusal counted once, a seed
+         from the certificate, no grid evaluation, and the grid oracle's
+         minimum. *)
       let row = P.table1_find "RCA" in
       (* [problem_of_row] recalibrates chi' to the requested frequency, so
          its closed form is f-invariant; fixing the params and raising f
@@ -128,15 +132,23 @@ let test_fallback_counts () =
           | exception Power_core.Closed_form.Infeasible _ -> f
       in
       let problem = problem_at (first_infeasible 1e8) in
-      ignore (N.optimum problem);
+      let point = N.optimum problem in
       let counters = Obs.counters () in
       let count name =
         Option.value ~default:0 (List.assoc_opt name counters)
       in
       Alcotest.(check int) "one fallback" 1 (count "opt.seed_fallbacks");
-      Alcotest.(check int) "no seeded solve" 0 (count "opt.seeded_solves");
-      if count "opt.grid_evals" <= 0 then
-        Alcotest.fail "fallback did not run the grid scan";
+      Alcotest.(check int) "one seeded solve" 1 (count "opt.seeded_solves");
+      Alcotest.(check int) "no grid evaluation" 0 (count "opt.grid_evals");
+      if count "cert.boxes" <= 0 then
+        Alcotest.fail "fallback did not run the certifier";
+      let oracle = Oracles.Grid.optimum problem in
+      Alcotest.(check bool)
+        "finite" true
+        (Float.is_finite point.Pl.total && Float.is_finite oracle.Pl.total);
+      check_close ~what:"vdd" ~tol:1e-6 problem oracle.Pl.vdd point.Pl.vdd;
+      check_close ~what:"ptot" ~tol:1e-6 problem oracle.Pl.total
+        point.Pl.total;
       (* And a seedable problem leaves the fallback counter alone. *)
       ignore (N.optimum (problem_at P.frequency));
       let counters = Obs.counters () in
@@ -303,7 +315,7 @@ let seeds = [ 0.05; 0.07; 0.1; 0.3; 0.6; 1.0; 1.5; 2.0; 2.5; 2.9; 3.0 ]
 let test_walls () =
   let lo, hi = Pl.vdd_search_range in
   let check wall (t : Pl.problem) =
-    let grid = N.optimum_grid t in
+    let grid = Oracles.Grid.optimum t in
     if rel grid.Pl.vdd wall > 1e-6 then
       Alcotest.failf "%s: the grid minimum %.9g is not on the %g V wall"
         (problem_label t) grid.Pl.vdd wall;
@@ -340,7 +352,9 @@ let test_walls () =
    Vdd: g - v tends to 0 with v.) A seed just inside the overflow region
    must slide back to that wall; from deep inside it, no finite point is
    in reach of the expansion and both cores return a non-finite total —
-   never an exception, never a finite but different point. *)
+   never an exception, never a finite but different point. [optimum
+   ~from] then solves again through the certificate: from every seed it
+   returns the grid oracle's finite wall minimum. *)
 let test_non_finite_seeds () =
   List.iter
     (fun (t : Pl.problem) ->
@@ -348,12 +362,19 @@ let test_non_finite_seeds () =
       let infinite = List.filter (fun v -> Pl.objective c v = infinity) seeds in
       if infinite = [] then
         Alcotest.failf "%s: no seed in the overflow region" (problem_label t);
+      let grid = Oracles.Grid.optimum t in
       List.iter
         (fun seed ->
-          check_same_minimum
-            ~what:(Printf.sprintf "%s seed %g" (problem_label t) seed)
-            c (N.warm_solve ~from:seed c)
-            (Oracles.Brent.warm_solve ~from:seed c))
+          let what = Printf.sprintf "%s seed %g" (problem_label t) seed in
+          check_same_minimum ~what c (N.warm_solve ~from:seed c)
+            (Oracles.Brent.warm_solve ~from:seed c);
+          let warm = N.optimum ~from:(Pl.at t ~vdd:seed) t in
+          if not (Float.is_finite warm.Pl.total) then
+            Alcotest.failf "%s: optimum ~from is not finite" what;
+          check_close ~what:(what ^ " vdd") ~tol:1e-6 t grid.Pl.vdd
+            warm.Pl.vdd;
+          check_close ~what:(what ^ " ptot") ~tol:1e-6 t grid.Pl.total
+            warm.Pl.total)
         seeds;
       (* The first overflowing supply, approached from below: the 2 %
          triple straddles the edge and the solve is finite. *)
@@ -377,6 +398,101 @@ let test_non_finite_seeds () =
       scaled ~chi:1000.0 Device.Technology.hs "Wallace";
     ]
 
+(* Certify first, then Newton in the certified bracket: the grid
+   oracle's minimum (supply and power to 1e-6 relative, the same
+   finiteness) on the explorer's candidates and on seeded problems from
+   1/100 to 10^5 times their frequency. These include minima on the
+   0.05 V wall, where the incumbent sits elsewhere and only the wall
+   comparison finds them, a wall minimum with an interior local minimum
+   a few percent above it, and problems whose total overflows
+   everywhere. The point lies in the bracket or on a wall it reaches. *)
+let certified_problems =
+  lazy
+    (Lazy.force Oracles.Problems.explorer
+    @ Oracles.Problems.seeded
+        ~fmults:[ 0.01; 0.1; 1.0; 10.0; 100.0; 1e3; 1e4; 1e5 ]
+        ~seed:25 ~n:250 Device.Technology.all)
+
+let test_certified_matches_grid () =
+  let lo, hi = Pl.vdd_search_range in
+  let walls = ref 0 and infinite = ref 0 in
+  List.iter
+    (fun (t : Pl.problem) ->
+      let point, cert = N.certified_optimum t in
+      let grid = Oracles.Grid.optimum t in
+      let what = problem_label t ^ Printf.sprintf " f=%.6g" t.Pl.f in
+      let finite = Float.is_finite point.Pl.total in
+      if finite <> Float.is_finite grid.Pl.total then
+        Alcotest.failf "%s: certified total %.17g vs grid %.17g" what
+          point.Pl.total grid.Pl.total;
+      if finite then begin
+        check_close ~what:(what ^ " vdd") ~tol:1e-6 t grid.Pl.vdd point.Pl.vdd;
+        check_close ~what:(what ^ " ptot") ~tol:1e-6 t grid.Pl.total
+          point.Pl.total;
+        let br = cert.Power_core.Absint.vdd_bracket in
+        if
+          not
+            (Numerics.Interval.contains br point.Pl.vdd
+            || point.Pl.vdd = lo || point.Pl.vdd = hi)
+        then
+          Alcotest.failf "%s: %.17g outside the bracket %s" what point.Pl.vdd
+            (Numerics.Interval.to_string br);
+        if point.Pl.vdd = lo || point.Pl.vdd = hi then incr walls
+      end
+      else incr infinite)
+    (Lazy.force certified_problems);
+  (* The population must hold the cases the wall comparison is for. *)
+  if !walls = 0 || !infinite = 0 then
+    Alcotest.failf "%d wall minima and %d non-finite problems" !walls
+      !infinite
+
+(* The composition itself, bit for bit: the certificate is
+   [Absint.certify]'s, and the point is the 2 % seeded core
+   ([warm_solve]) from the incumbent inside the bracket, replaced by a
+   wall the bracket reaches only where the wall is strictly lower. On
+   these problems a midpoint seed lands in the same basin, so only the
+   bits tell the two apart. *)
+let test_certified_composition () =
+  let module Iv = Numerics.Interval in
+  let module Ab = Power_core.Absint in
+  let lo, hi = Pl.vdd_search_range in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (t : Pl.problem) ->
+      let point, cert = N.certified_optimum t in
+      let ref_cert = Ab.certify (Ab.box t) in
+      let c = Pl.coeffs t in
+      let br = ref_cert.Ab.vdd_bracket in
+      let x =
+        if br.Iv.lo < br.Iv.hi then
+          (N.warm_solve ~vdd_lo:br.Iv.lo ~vdd_hi:br.Iv.hi
+             ~from:ref_cert.Ab.vdd_best c)
+            .x
+        else br.Iv.lo
+      in
+      let x =
+        List.fold_left
+          (fun x (reached, wall) ->
+            if reached && Pl.objective c wall < Pl.objective c x then wall
+            else x)
+          x
+          [ (br.Iv.lo <= lo, lo); (br.Iv.hi >= hi, hi) ]
+      in
+      let same_iv a b =
+        bits a.Iv.lo = bits b.Iv.lo && bits a.Iv.hi = bits b.Iv.hi
+      in
+      if
+        not
+          (same_iv cert.Ab.ptot ref_cert.Ab.ptot
+          && same_iv cert.Ab.vdd_bracket br
+          && bits cert.Ab.vdd_best = bits ref_cert.Ab.vdd_best)
+      then
+        Alcotest.failf "%s: the certificate is not certify's" (problem_label t);
+      if bits point.Pl.vdd <> bits x then
+        Alcotest.failf "%s: vdd %h, the incumbent-seeded solve gives %h"
+          (problem_label t) point.Pl.vdd x)
+    (Lazy.force certified_problems)
+
 let () =
   Alcotest.run "solver_equiv"
     [
@@ -384,8 +500,9 @@ let () =
         [
           Alcotest.test_case "seeded optimum matches grid oracle (1e-6)" `Slow
             test_seeded_matches_grid;
-          Alcotest.test_case "unseedable problems fall back to the grid"
-            `Quick test_fallback_counts;
+          Alcotest.test_case
+            "unseedable problems fall back to the certified solve" `Quick
+            test_fallback_counts;
         ] );
       ( "newton",
         [
@@ -395,5 +512,12 @@ let () =
           Alcotest.test_case "minima pinned at the walls" `Quick test_walls;
           Alcotest.test_case "seeds where Ptot overflows" `Quick
             test_non_finite_seeds;
+        ] );
+      ( "certified",
+        [
+          Alcotest.test_case "certified optimum matches grid oracle" `Quick
+            test_certified_matches_grid;
+          Alcotest.test_case "incumbent seed, then the walls, bit for bit"
+            `Quick test_certified_composition;
         ] );
     ]
